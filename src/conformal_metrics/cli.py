@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -295,9 +296,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Options that take a complex literal.  argparse reads a value that starts
+# with '-' and is not a plain number, such as -0.5,0.3, as an option; such a
+# value is attached to its option (`--at=-0.5,0.3`) before parsing.
+_POINT_OPTIONS = ("--at", "--from", "--to")
+
+
+def _attach_point_values(argv: list[str]) -> list[str]:
+    out = []
+    for tok in argv:
+        if out and out[-1] in _POINT_OPTIONS and re.match(r"-\.?\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(
+        _attach_point_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except (ConformalMetricsError, ValueError, OSError) as exc:

@@ -17,11 +17,13 @@ from typing import Any
 import numpy as np
 
 from .errors import (
+    Faults,
     MapNotUnivalentError,
     MembershipUndecidableError,
     NoDensityRouteError,
     OutsideDomainError,
     SingularPointError,
+    at_point,
 )
 
 __all__ = [
@@ -106,33 +108,29 @@ def image_domain(f, base: Domain, boundary_samples_count: int) -> Domain:
 
 
 # ---------------------------------------------------------------------------
-# membership
+# array kernels: membership, boundary distance and density
+#
+# These are the only implementations of the three quantities.  They take
+# complex arrays and do no membership check: the geodesic solver calls them in
+# its inner loop on points it knows to be interior.  The checked_* functions
+# add the checks of the scalar API, recording per point what it would raise.
 
-def _dist_to_segment(z: complex, a: complex, b: complex) -> float:
-    d = b - a
-    t = ((z - a) * d.conjugate()).real / abs(d) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * d))
-
-
-def contains(D: Domain, z: complex) -> bool:
-    """True iff z is an interior point of D."""
-    z = complex(z)
+def contains_vec(D: Domain, z: np.ndarray) -> np.ndarray:
     kind = D.kind
     if kind == "unit_disk":
-        return abs(z) < 1.0
+        return np.abs(z) < 1.0
     if kind == "punctured_disk":
-        return z != 0 and abs(z) < 1.0
+        return (np.abs(z) < 1.0) & (z != 0)
     if kind == "upper_half_plane":
         return z.imag > 0.0
     if kind == "koebe_slit_plane":
-        return not (z.imag == 0.0 and z.real <= -0.25)
+        return ~((z.imag == 0.0) & (z.real <= -0.25))
     if kind == "slit_disk":
         u = z - D.params[0]
-        return abs(u) < 1.0 and not (u.imag == 0.0 and u.real <= 0.0)
+        return (np.abs(u) < 1.0) & ~((u.imag == 0.0) & (u.real <= 0.0))
     if kind == "log_strip":
         u = z / D.params[0]
-        return u.real < 0.0 and abs(u.imag) < math.pi
+        return (u.real < 0.0) & (np.abs(u.imag) < math.pi)
     if kind == "image":
         raise MembershipUndecidableError(
             "membership of a raw point in a sampled image domain is undecidable"
@@ -140,60 +138,39 @@ def contains(D: Domain, z: complex) -> bool:
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def _require_inside(D: Domain, z: complex):
-    if not contains(D, z):
-        raise OutsideDomainError(f"{z} is not an interior point of {D}")
-
-
-# ---------------------------------------------------------------------------
-# boundary distance
-
-def boundary_distance(D: Domain, z: complex) -> float:
-    """Euclidean distance from z to the boundary of D (closed forms, except
-    for sampled image domains)."""
-    z = complex(z)
+def delta_vec(D: Domain, z: np.ndarray) -> np.ndarray:
+    """Boundary distance of interior points (closed forms)."""
     kind = D.kind
-    if kind == "image":
-        f, base = D.payload
-        bs = boundary_samples(D, D.params[0])
-        return min(abs(z - b) for b in bs)
-    _require_inside(D, z)
     if kind == "unit_disk":
-        return 1.0 - abs(z)
+        return 1.0 - np.abs(z)
     if kind == "punctured_disk":
-        return min(abs(z), 1.0 - abs(z))
+        r = np.abs(z)
+        return np.minimum(r, 1.0 - r)
     if kind == "upper_half_plane":
-        return z.imag
+        return z.imag.copy() if np.iscomplexobj(z) else np.imag(z)
     if kind == "koebe_slit_plane":
-        if z.real >= -0.25:
-            return abs(z + 0.25)
-        return abs(z.imag)
+        return np.where(z.real >= -0.25, np.abs(z + 0.25), np.abs(z.imag))
     if kind == "slit_disk":
         u = z - D.params[0]
-        return min(1.0 - abs(u), _dist_to_segment(u, -1.0 + 0j, 0j))
+        t = np.clip(-u.real, 0.0, 1.0)
+        seg = np.abs(u + t)
+        return np.minimum(1.0 - np.abs(u), seg)
     if kind == "log_strip":
         c = D.params[0]
         u = z / c
-        return abs(c) * min(-u.real, math.pi - u.imag, math.pi + u.imag)
-    raise ValueError(f"unknown domain kind {kind!r}")
+        return np.abs(c) * np.minimum(
+            -u.real, np.minimum(math.pi - u.imag, math.pi + u.imag)
+        )
+    raise NoDensityRouteError(f"no vectorized delta for {D}")
 
 
-# ---------------------------------------------------------------------------
-# hyperbolic density
-
-def _koebe_jet1(z: complex) -> complex:
-    return (1 + z) / (1 - z) ** 3
-
-
-def _koebe_inverse(w: complex) -> complex:
+def _koebe_inverse(w: np.ndarray) -> np.ndarray:
     # Solve w*z^2 - (2w+1)*z + w = 0 for the root inside the disk.  The
     # principal sqrt is safe: 4w+1 hits the cut only on the excluded ray.
-    if w == 0:
-        return 0j
-    return (2 * w + 1 - cmath.sqrt(4 * w + 1)) / (2 * w)
+    return np.where(w == 0, 0j, (2 * w + 1 - np.sqrt(4 * w + 1)) / (2 * w))
 
 
-def _slit_disk_preimage(u: complex):
+def _slit_disk_preimage(u: np.ndarray):
     """Conformal map of the slit disk onto the disk, with derivative.
 
     Chain: u -> s = sqrt(-u) (branch arg in (0, 2pi)) onto the upper half
@@ -201,10 +178,9 @@ def _slit_disk_preimage(u: complex):
     onto the disk.  Returns (value, derivative).
     """
     v = -u
-    th = cmath.phase(v)
-    if th <= 0.0:
-        th += 2 * math.pi
-    s = cmath.exp(0.5 * (math.log(abs(v)) + 1j * th))
+    th = np.angle(v)
+    th = np.where(th <= 0.0, th + 2 * math.pi, th)
+    s = np.exp(0.5 * (np.log(np.abs(v)) + 1j * th))
     t = -(s + 1 / s) / 2
     zeta = (t - 1j) / (t + 1j)
     ds = -1 / (2 * s)
@@ -213,42 +189,97 @@ def _slit_disk_preimage(u: complex):
     return zeta, dzeta * dt * ds
 
 
-def hyperbolic_density(D: Domain, z: complex) -> float:
-    """Poincare density of D at z, curvature -4 normalization."""
-    z = complex(z)
+def density_vec(D: Domain, z: np.ndarray) -> np.ndarray:
+    """Hyperbolic density of interior points, curvature -4 normalization.
+
+    The two slit domains pull the disk density back through their
+    uniformizing maps.  On the slit disk the result is nan where the
+    preimage of a point rounds onto the unit circle.
+    """
     kind = D.kind
-    if kind in ("image", "log_strip"):
-        # no conformal route back to the disk is stored for these
-        raise NoDensityRouteError(f"no conformal route to the disk for {D}")
-    _require_inside(D, z)
     if kind == "unit_disk":
-        return 1.0 / (1.0 - abs(z) ** 2)
+        return 1.0 / (1.0 - np.abs(z) ** 2)
     if kind == "punctured_disk":
-        r = abs(z)
-        return 1.0 / (2.0 * r * math.log(1.0 / r))
+        r = np.abs(z)
+        return 1.0 / (2.0 * r * np.log(1.0 / r))
     if kind == "upper_half_plane":
         return 1.0 / (2.0 * z.imag)
-    if kind == "koebe_slit_plane":
-        z0 = _koebe_inverse(z)
-        return (1.0 / (1.0 - abs(z0) ** 2)) / abs(_koebe_jet1(z0))
-    if kind == "slit_disk":
-        zeta, dphi = _slit_disk_preimage(z - D.params[0])
-        den = 1.0 - abs(zeta) ** 2
-        if den <= 0.0:
-            # interior per `contains`, but so close to the slit that the
-            # uniformizing preimage rounds onto the unit circle
-            raise SingularPointError(
-                "point too close to the slit for the density route"
-            )
-        return abs(dphi) / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "koebe_slit_plane":
+            from .maps import _jet_formula, koebe_map
+
+            # lambda_disk(z0) / |k'(z0)| at the Koebe preimage z0 of z
+            z0 = _koebe_inverse(z)
+            k1 = _jet_formula(koebe_map(), z0, Faults(z0.shape)).f1
+            return (1.0 / (1.0 - np.abs(z0) ** 2)) / np.abs(k1)
+        if kind == "slit_disk":
+            zeta, dphi = _slit_disk_preimage(z - D.params[0])
+            den = 1.0 - np.abs(zeta) ** 2
+            return np.where(den > 0.0, np.abs(dphi) / den, np.nan)
     raise NoDensityRouteError(f"no conformal route to the disk for {D}")
+
+
+def outside_error(D: Domain, z: complex) -> OutsideDomainError:
+    return OutsideDomainError(f"{z} is not an interior point of {D}")
+
+
+def require_inside(D: Domain, z: np.ndarray, faults: Faults) -> None:
+    faults.flag(~contains_vec(D, z),
+                lambda i: outside_error(D, complex(z.flat[i])))
+
+
+def checked_delta(D: Domain, z: np.ndarray, faults: Faults) -> np.ndarray:
+    """delta_vec, flagging points outside D."""
+    require_inside(D, z, faults)
+    return delta_vec(D, z)
+
+
+def checked_density(D: Domain, z: np.ndarray, faults: Faults) -> np.ndarray:
+    """density_vec, flagging points outside D and slit-disk points too close
+    to the slit for the density route."""
+    if D.kind in ("image", "log_strip"):
+        # no conformal route back to the disk is stored for these
+        raise NoDensityRouteError(f"no conformal route to the disk for {D}")
+    require_inside(D, z, faults)
+    lam = density_vec(D, z)
+    if D.kind == "slit_disk":
+        # interior per `contains`, but so close to the slit that the
+        # uniformizing preimage rounds onto the unit circle
+        faults.flag(np.isnan(lam), SingularPointError(
+            "point too close to the slit for the density route"))
+    return lam
+
+
+# ---------------------------------------------------------------------------
+# scalar API
+
+def contains(D: Domain, z: complex) -> bool:
+    """True iff z is an interior point of D."""
+    return bool(contains_vec(D, np.array([complex(z)]))[0])
+
+
+def _require_inside(D: Domain, z: complex):
+    if not contains(D, z):
+        raise outside_error(D, z)
+
+
+def boundary_distance(D: Domain, z: complex) -> float:
+    """Euclidean distance from z to the boundary of D (closed forms, except
+    for sampled image domains)."""
+    if D.kind == "image":
+        bs = boundary_samples(D, D.params[0])
+        return min(abs(complex(z) - b) for b in bs)
+    return float(at_point(checked_delta, D, z)[0])
+
+
+def hyperbolic_density(D: Domain, z: complex) -> float:
+    """Poincare density of D at z, curvature -4 normalization."""
+    return float(at_point(checked_density, D, z)[0])
 
 
 def pushforward_density(f, base: Domain, z: complex) -> float:
     """lambda of f(base) at the point f(z), via conformal invariance:
     lambda_{f(D)}(f(z)) = lambda_D(z) / |f'(z)|."""
-    from .errors import SingularPointError
-
     _require_inside(base, z)
     j = f.jet(z)
     if j.f1 == 0:
@@ -274,20 +305,26 @@ def image_boundary_distance(f, base: Domain, z: complex, n: int = 4096) -> float
         return boundary_distance(f.image_domain, w)
     if n < 64:
         raise ValueError("need at least 64 boundary samples")
-    best = math.inf
-    for b in boundary_samples(base, n):
-        try:
-            fb = f.value_unchecked(b)
-        except (ArithmeticError, ValueError):
-            continue  # essential singularity on the boundary: skip
-        if not cmath.isfinite(fb):
-            continue
-        d = abs(w - fb)
-        if d < best:
-            best = d
-    if not math.isfinite(best):
+    fb = _mapped_boundary(f, base, n)
+    if not fb.size:
         raise ValueError("no usable boundary samples")
-    return best
+    return float(np.min(np.abs(w - fb)))
+
+
+def _mapped_boundary(f, base: Domain, n: int) -> np.ndarray:
+    """f at n boundary samples of base, leaving out the samples where its
+    jet is not finite (essential singularities on the boundary); a sample
+    at a singular point of the formula raises."""
+    from .maps import _jet_formula
+
+    b = np.array(boundary_samples(base, n), dtype=complex)
+    faults = Faults(b.shape)
+    with np.errstate(all="ignore"):
+        fb = _jet_formula(f, b, faults).f0
+    for i in sorted(faults.errors):
+        if isinstance(faults.errors[i], SingularPointError):
+            raise faults.errors[i]
+    return fb[faults.clean]
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +374,12 @@ def boundary_samples(D: Domain, n: int) -> list[complex]:
         return pts[:n] if len(pts) > n else pts
     if kind == "image":
         f, base = D.payload
-        out = []
-        for b in boundary_samples(base, n):
-            try:
-                fb = f.value_unchecked(b)
-            except (ArithmeticError, ValueError):
-                continue
-            if cmath.isfinite(fb):
-                out.append(fb)
-        return out
+        return _mapped_boundary(f, base, n).tolist()
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# structural queries and vectorized helpers for the geodesic solver
+# structural queries
 
 def simply_connected(D: Domain) -> bool:
     return D.kind != "punctured_disk"
@@ -368,64 +397,3 @@ def bounding_box(D: Domain):
         c = D.params[0]
         return (c.real - 1.0, c.real + 1.0, c.imag - 1.0, c.imag + 1.0)
     return None
-
-
-def contains_vec(D: Domain, z: np.ndarray) -> np.ndarray:
-    kind = D.kind
-    if kind == "unit_disk":
-        return np.abs(z) < 1.0
-    if kind == "punctured_disk":
-        return (np.abs(z) < 1.0) & (z != 0)
-    if kind == "upper_half_plane":
-        return z.imag > 0.0
-    if kind == "koebe_slit_plane":
-        return ~((z.imag == 0.0) & (z.real <= -0.25))
-    if kind == "slit_disk":
-        u = z - D.params[0]
-        return (np.abs(u) < 1.0) & ~((u.imag == 0.0) & (u.real <= 0.0))
-    if kind == "log_strip":
-        u = z / D.params[0]
-        return (u.real < 0.0) & (np.abs(u.imag) < math.pi)
-    raise MembershipUndecidableError(f"no vectorized membership for {D}")
-
-
-def delta_vec(D: Domain, z: np.ndarray) -> np.ndarray:
-    """Vectorized boundary distance; assumes all points are interior."""
-    kind = D.kind
-    if kind == "unit_disk":
-        return 1.0 - np.abs(z)
-    if kind == "punctured_disk":
-        r = np.abs(z)
-        return np.minimum(r, 1.0 - r)
-    if kind == "upper_half_plane":
-        return z.imag.copy() if np.iscomplexobj(z) else np.imag(z)
-    if kind == "koebe_slit_plane":
-        return np.where(z.real >= -0.25, np.abs(z + 0.25), np.abs(z.imag))
-    if kind == "slit_disk":
-        u = z - D.params[0]
-        t = np.clip(-u.real, 0.0, 1.0)
-        seg = np.abs(u + t)
-        return np.minimum(1.0 - np.abs(u), seg)
-    if kind == "log_strip":
-        c = D.params[0]
-        u = z / c
-        return np.abs(c) * np.minimum(
-            -u.real, np.minimum(math.pi - u.imag, math.pi + u.imag)
-        )
-    raise NoDensityRouteError(f"no vectorized delta for {D}")
-
-
-def density_vec(D: Domain, z: np.ndarray) -> np.ndarray:
-    """Vectorized hyperbolic density where a closed form exists; falls back
-    to the scalar route otherwise."""
-    kind = D.kind
-    if kind == "unit_disk":
-        return 1.0 / (1.0 - np.abs(z) ** 2)
-    if kind == "punctured_disk":
-        r = np.abs(z)
-        return 1.0 / (2.0 * r * np.log(1.0 / r))
-    if kind == "upper_half_plane":
-        return 1.0 / (2.0 * z.imag)
-    return np.array([hyperbolic_density(D, w) for w in np.ravel(z)]).reshape(
-        np.shape(z)
-    )

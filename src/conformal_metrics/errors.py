@@ -2,7 +2,10 @@
 
 All recoverable failures raise a subclass of :class:`ConformalMetricsError`
 so that sweeps can catch one type, record the sample as skipped, and move on.
+Array evaluations record those errors per point in a :class:`Faults`.
 """
+
+import numpy as np
 
 
 class ConformalMetricsError(Exception):
@@ -43,3 +46,39 @@ class NoGridPathError(ConformalMetricsError):
 
 class InvalidParameterError(ConformalMetricsError, ValueError):
     """Catalog constructor called with parameters violating its invariants."""
+
+
+class Faults:
+    """The error a scalar call would raise at each point of an array.
+
+    Array kernels evaluate every point at once.  Callers flag each check in
+    the order the scalar code makes it; a point keeps the first error flagged
+    at it, so it reports what a per-point loop would have raised there.
+    """
+
+    def __init__(self, shape):
+        self.errors = {}  # flat index -> error
+        self.clean = np.ones(shape, dtype=bool)
+
+    def flag(self, mask, error):
+        """Record `error` at the clean points where `mask` holds: an
+        exception, a reason string for a skip that raises nothing, or a
+        function from a flat index to either."""
+        hit = np.logical_and(mask, self.clean)
+        if not hit.any():
+            return
+        for i in np.flatnonzero(hit).tolist():
+            self.errors[i] = error(i) if callable(error) else error
+        self.clean &= ~hit
+
+
+def at_point(checked, subject, z: complex):
+    """Evaluate checked(subject, z, faults) at the single point z, raising the
+    error it records there; returns the value as arrays of length 1."""
+    z = np.array([complex(z)])
+    faults = Faults(z.shape)
+    with np.errstate(all="ignore"):
+        value = checked(subject, z, faults)
+    if faults.errors:
+        raise faults.errors[0]
+    return value

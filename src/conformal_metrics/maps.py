@@ -13,15 +13,19 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from . import domains
 from .domains import Domain
 from .errors import (
+    Faults,
     IncompatibleCompositionError,
     InvalidParameterError,
     OutsideDomainError,
     SingularPointError,
+    at_point,
 )
-from .jets import Jet3, compose
+from .jets import Jet3, JetArray, check_finite, compose
 
 __all__ = [
     "AnalyticMap",
@@ -60,7 +64,7 @@ class AnalyticMap:
     def value_unchecked(self, z: complex) -> complex:
         """Evaluate the formula without membership checks (boundary
         extension); raises on singular points."""
-        return _jet_formula(self, complex(z)).f0
+        return complex(at_point(_jet_formula, self, z).f0[0])
 
     def describe(self) -> str:
         if self.kind == "composite":
@@ -201,67 +205,76 @@ def parse_map_spec(spec: str) -> AnalyticMap:
 # ---------------------------------------------------------------------------
 # jet evaluation
 
-def _jet_formula(f: AnalyticMap, z: complex) -> Jet3:
+def _jet_formula(f: AnalyticMap, z: np.ndarray, faults: Faults) -> JetArray:
+    """Exact jets of f at every point of the array z, flagging in `faults`
+    the singular points of the formula and points with non-finite entries.
+    No membership check."""
     kind = f.kind
     if kind == "identity":
-        return Jet3(z, 1, 0, 0)
-    if kind == "koebe":
-        if z == 1:
-            raise SingularPointError("koebe is singular at z = 1")
+        jet = JetArray(z, np.ones_like(z), np.zeros_like(z), np.zeros_like(z))
+    elif kind == "koebe":
+        faults.flag(z == 1, SingularPointError("koebe is singular at z = 1"))
         d = 1 - z
-        return Jet3(z / d ** 2, (1 + z) / d ** 3,
-                    2 * (2 + z) / d ** 4, 6 * (3 + z) / d ** 5)
-    if kind == "mobius":
+        jet = JetArray(z / d ** 2, (1 + z) / d ** 3,
+                       2 * (2 + z) / d ** 4, 6 * (3 + z) / d ** 5)
+    elif kind == "mobius":
         a, theta = f.params
         e = cmath.exp(1j * theta)
         ac = a.conjugate()
         d = 1 - ac * z
-        if d == 0:
-            raise SingularPointError("mobius pole")
+        faults.flag(d == 0, SingularPointError("mobius pole"))
         u = 1 - abs(a) ** 2
-        return Jet3(e * (z - a) / d, e * u / d ** 2,
-                    2 * e * ac * u / d ** 3, 6 * e * ac ** 2 * u / d ** 4)
-    if kind == "cayley":
-        if z == 1:
-            raise SingularPointError("cayley is singular at z = 1")
+        jet = JetArray(e * (z - a) / d, e * u / d ** 2,
+                       2 * e * ac * u / d ** 3, 6 * e * ac ** 2 * u / d ** 4)
+    elif kind == "cayley":
+        faults.flag(z == 1, SingularPointError("cayley is singular at z = 1"))
         d = 1 - z
-        return Jet3(1j * (1 + z) / d, 2j / d ** 2, 4j / d ** 3, 12j / d ** 4)
-    if kind == "log_slit":
+        jet = JetArray(1j * (1 + z) / d, 2j / d ** 2, 4j / d ** 3,
+                       12j / d ** 4)
+    elif kind == "log_slit":
         zeta0, c = f.params
         u = z - zeta0
-        if u == 0:
-            raise SingularPointError("log_slit singular at its branch point")
-        return Jet3(c * cmath.log(u), c / u, -c / u ** 2, 2 * c / u ** 3)
-    if kind == "power":
+        faults.flag(u == 0, SingularPointError(
+            "log_slit singular at its branch point"))
+        jet = JetArray(c * np.log(u), c / u, -c / u ** 2, 2 * c / u ** 3)
+    elif kind == "power":
         n = f.params[0]
-        f1 = n * z ** (n - 1)
-        f2 = n * (n - 1) * z ** (n - 2) if n >= 2 else 0
-        f3 = n * (n - 1) * (n - 2) * z ** (n - 3) if n >= 3 else 0
-        return Jet3(z ** n, f1, f2, f3)
-    if kind == "punctured_disk_covering":
-        if z == 1:
-            raise SingularPointError("essential singularity at z = 1")
+        f2 = n * (n - 1) * z ** (n - 2) if n >= 2 else np.zeros_like(z)
+        f3 = (n * (n - 1) * (n - 2) * z ** (n - 3) if n >= 3
+              else np.zeros_like(z))
+        jet = JetArray(z ** n, n * z ** (n - 1), f2, f3)
+    elif kind == "punctured_disk_covering":
+        faults.flag(z == 1,
+                    SingularPointError("essential singularity at z = 1"))
         d = z - 1
-        p = cmath.exp((z + 1) / d)
+        p = np.exp((z + 1) / d)
         w1 = -2 / d ** 2
         w2 = 4 / d ** 3
         w3 = -12 / d ** 4
-        return Jet3(p, p * w1, p * (w1 * w1 + w2),
-                    p * (w1 ** 3 + 3 * w1 * w2 + w3))
-    if kind == "composite":
+        jet = JetArray(p, p * w1, p * (w1 * w1 + w2),
+                       p * (w1 ** 3 + 3 * w1 * w2 + w3))
+    elif kind == "composite":
         outer, inner = f.factors
-        jg = _jet_formula(inner, z)
-        jf = _jet_formula(outer, jg.f0)
-        return compose(jf, jg)
-    raise ValueError(f"unknown map kind {kind!r}")
+        jg = _jet_formula(inner, z, faults)
+        jet = compose(_jet_formula(outer, jg.f0, faults), jg)
+    else:
+        raise ValueError(f"unknown map kind {kind!r}")
+    return check_finite(jet, faults)
+
+
+def checked_jet(f: AnalyticMap, z: np.ndarray, faults: Faults) -> JetArray:
+    """Jets of f at every point of z, flagging in `faults` what eval_jet
+    raises at each point."""
+    if not f.entire:
+        faults.flag(~domains.contains_vec(f.base_domain, z), lambda i:
+                    OutsideDomainError(f"{complex(z.flat[i])} outside base "
+                                       f"domain of {f.describe()}"))
+    return _jet_formula(f, z, faults)
 
 
 def eval_jet(f: AnalyticMap, z: complex) -> Jet3:
     """Exact Jet3 of f at an interior point of its base domain."""
-    z = complex(z)
-    if not f.entire and not domains.contains(f.base_domain, z):
-        raise OutsideDomainError(f"{z} outside base domain of {f.describe()}")
-    return _jet_formula(f, z)
+    return Jet3(*(complex(v[0]) for v in at_point(checked_jet, f, z)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +290,19 @@ def compose_maps(f: AnalyticMap, g: AnalyticMap,
     """
     if not f.entire:
         rng = random.Random(seed)
-        for _ in range(check_samples):
-            z = _random_interior_point(g.base_domain, rng)
-            try:
-                gz = g.value(z)
-            except SingularPointError:
-                continue
-            if not domains.contains(f.base_domain, gz):
-                raise IncompatibleCompositionError(
-                    f"{g.describe()} maps {z} to {gz}, outside the base "
-                    f"domain of {f.describe()}"
-                )
+        z = np.array([_random_interior_point(g.base_domain, rng)
+                      for _ in range(check_samples)], dtype=complex)
+        faults = Faults(z.shape)
+        with np.errstate(all="ignore"):
+            gz = checked_jet(g, z, faults).f0
+        faults.flag(~domains.contains_vec(f.base_domain, gz), lambda i:
+                    IncompatibleCompositionError(
+                        f"{g.describe()} maps {complex(z[i])} to "
+                        f"{complex(gz[i])}, outside the base domain of "
+                        f"{f.describe()}"))
+        for i in sorted(faults.errors):
+            if not isinstance(faults.errors[i], SingularPointError):
+                raise faults.errors[i]
     univalent = f.univalent and g.univalent
     image = None
     if univalent and g.image_domain == f.base_domain:

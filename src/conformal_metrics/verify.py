@@ -12,17 +12,20 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from . import domains, maps, metrics
+import numpy as np
+
+from . import domains, jets, maps, metrics
 from .domains import Domain
 from .errors import (
     ConformalMetricsError,
+    Faults,
+    MapNotUnivalentError,
     NotLocallyUnivalentError,
     OutsideDomainError,
     SingularPointError,
 )
 from .jets import pre_schwarzian, schwarzian, compose
 from .maps import AnalyticMap
-from .parallel import ordered_map
 
 __all__ = [
     "SampleSet",
@@ -62,56 +65,89 @@ class SampleSet:
             e = self.eps if self.eps is not None else 1e-6
             if not (0 < e < 0.5):
                 raise ValueError("eps must lie in (0, 1/2)")
+            if self.strategy == "near_boundary" and 1.0 - e == 1.0:
+                raise ValueError(f"eps {e:g} is below float resolution at "
+                                 "|z| = 1: every sample would round onto "
+                                 "the unit circle")
+
+    def _disk_array(self) -> np.ndarray:
+        """Sample points in the unit disk according to the strategy.
+
+        Each sample takes two draws from random.Random(seed): the angle,
+        then the radius (or, for radial_line, the abscissa).  A sample at 0
+        is dropped and the stream continues.
+        """
+        rng = random.Random(self.seed)
+        e = self.eps if self.eps is not None else 1e-6
+        out = np.empty(0, dtype=complex)
+        while len(out) < self.count:
+            u = _draws(rng, self.count - len(out))
+            th = _uniform(-math.pi, math.pi, u[:, 0])
+            if self.strategy == "uniform_disk":
+                z = _rect(np.sqrt(u[:, 1]), th)
+            elif self.strategy == "radial_line":
+                z = _uniform(1e-3, 1 - 1e-3, u[:, 1]) + 0j
+            elif self.strategy in ("near_boundary", "near_puncture"):
+                r = np.exp(_uniform(math.log(e), math.log(0.5), u[:, 1]))
+                z = _rect(1.0 - r if self.strategy == "near_boundary" else r,
+                          th)
+            else:
+                raise ValueError(f"unknown strategy {self.strategy!r}")
+            out = np.concatenate([out, z[z != 0]])
+        return out
 
     def disk_points(self) -> list[complex]:
         """Sample points in the unit disk according to the strategy."""
-        rng = random.Random(self.seed)
-        out = []
-        while len(out) < self.count:
-            th = rng.uniform(-math.pi, math.pi)
-            if self.strategy == "uniform_disk":
-                z = cmath.rect(math.sqrt(rng.random()), th)
-            elif self.strategy == "radial_line":
-                z = complex(rng.uniform(1e-3, 1 - 1e-3), 0.0)
-            elif self.strategy == "near_boundary":
-                e = self.eps if self.eps is not None else 1e-6
-                s = math.exp(rng.uniform(math.log(e), math.log(0.5)))
-                z = cmath.rect(1.0 - s, th)
-            elif self.strategy == "near_puncture":
-                e = self.eps if self.eps is not None else 1e-6
-                r = math.exp(rng.uniform(math.log(e), math.log(0.5)))
-                z = cmath.rect(r, th)
-            else:
-                raise ValueError(f"unknown strategy {self.strategy!r}")
-            if z != 0:
-                out.append(z)
-        return out
+        return self._disk_array().tolist()
 
-    def points(self, D: Domain) -> list[complex]:
-        """Samples inside D: disk samples pushed through the catalog map
-        onto non-disk domains."""
-        base = self.disk_points()
+    def points(self, D: Domain) -> np.ndarray:
+        """Samples inside D, as a complex array: disk samples pushed through
+        the catalog map onto non-disk domains."""
+        base = self._disk_array()
         kind = D.kind
         if kind in ("unit_disk", "punctured_disk"):
             return base
         if kind == "upper_half_plane":
-            return [1j * (1 + z) / (1 - z) for z in base]
+            return _map_values(maps.cayley_map(), base)
         if kind == "koebe_slit_plane":
-            return [z / (1 - z) ** 2 for z in base]
+            return _map_values(maps.koebe_map(), base)
         if kind == "slit_disk":
+            # disk samples that land in D after the shift, then fresh
+            # uniform draws from random.Random(seed + 1) until count
             c = D.params[0]
+            out = base + c
+            out = out[domains.contains_vec(D, out)]
             rng = random.Random(self.seed + 1)
-            out = []
-            i = 0
             while len(out) < self.count:
-                z = base[i % len(base)] if i < len(base) else cmath.rect(
-                    math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
-                )
-                i += 1
-                if domains.contains(D, z + c):
-                    out.append(z + c)
+                u = _draws(rng, self.count - len(out))
+                z = _rect(np.sqrt(u[:, 0]), _uniform(-math.pi, math.pi,
+                                                     u[:, 1])) + c
+                out = np.concatenate([out, z[domains.contains_vec(D, z)]])
             return out
         raise ValueError(f"no sampling strategy for domain kind {kind!r}")
+
+
+def _draws(rng: random.Random, n: int) -> np.ndarray:
+    """The next 2n values of rng, as n rows of two."""
+    return np.array([rng.random() for _ in range(2 * n)]).reshape(n, 2)
+
+
+def _uniform(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """random.uniform(a, b) applied to the draws u."""
+    return a + (b - a) * u
+
+
+def _rect(r: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """cmath.rect elementwise."""
+    z = np.empty(th.shape, dtype=complex)
+    z.real = r * np.cos(th)
+    z.imag = r * np.sin(th)
+    return z
+
+
+def _map_values(f: AnalyticMap, z: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        return maps.checked_jet(f, z, Faults(z.shape)).f0
 
 
 @dataclass
@@ -159,8 +195,12 @@ def distortion_ratio(f: AnalyticMap, D: Domain, z: complex,
     control."""
     j = f.jet(z)
     if j.f1 == 0:
-        raise SingularPointError(f"f'({z}) = 0")
+        raise _critical_point(z)
     return abs(j.f1) / domains.image_boundary_distance(f, D, z, n_boundary)
+
+
+def _critical_point(z) -> SingularPointError:
+    return SingularPointError(f"f'({z}) = 0")
 
 
 def punctured_disk_ratio(z: complex) -> float:
@@ -182,6 +222,12 @@ BOUND_KINDS = (
 
 _NEEDS_SIMPLY_CONNECTED = {"thm21", "koebe_distortion", "lehto_S", "osgood_T"}
 _NEEDS_MAP = set(BOUND_KINDS) - {"lambda_delta"}
+_NEEDS_LAMBDA = {"thm21", "thm41", "cor43", "lambda_delta", "osgood_T",
+                 "lehto_S"}
+_NEEDS_DELTA = {"lemma31", "lambda_delta", "osgood_T_delta", "gehring_S"}
+
+# errors that skip a sample; any other error at a sample aborts the check
+_SKIPPED = (NotLocallyUnivalentError, SingularPointError, OutsideDomainError)
 
 
 def _bound_window(kind: str, Q: float | None) -> tuple[float, float]:
@@ -245,65 +291,97 @@ def check_pointwise_bounds(f: AnalyticMap | None, D: Domain,
         constants.update(constants_override)
         lo, hi = constants["lower"], constants["upper"]
 
-    def evaluate(z):
-        t = None
-        try:
-            lam = None
-            delta = None
-            if kind in ("thm21", "thm41", "cor43", "lambda_delta",
-                        "osgood_T", "lehto_S"):
-                lam = domains.hyperbolic_density(D, z)
-            if kind in ("lemma31", "lambda_delta", "osgood_T_delta",
-                        "gehring_S"):
-                delta = domains.boundary_distance(D, z)
-            if kind == "lambda_delta":
-                v = lam * delta
-            elif kind in ("thm21", "thm41", "cor43"):
-                v = distortion_ratio(f, D, z, n_boundary) / lam
-                if kind == "cor43":
-                    t = abs(pre_schwarzian(f.jet(z))) / lam
-            elif kind == "lemma31":
-                v = distortion_ratio(f, D, z, n_boundary) * delta
-            elif kind == "koebe_distortion":
-                j = f.jet(z)
-                v = domains.image_boundary_distance(f, D, z, n_boundary) / (
-                    (1.0 - abs(z) ** 2) * abs(j.f1)
-                )
-            elif kind == "osgood_T":
-                v = abs(pre_schwarzian(f.jet(z))) / lam
-            elif kind == "osgood_T_delta":
-                v = abs(pre_schwarzian(f.jet(z))) * delta
-            elif kind == "lehto_S":
-                v = abs(schwarzian(f.jet(z))) / lam ** 2
-            else:  # gehring_S
-                v = abs(schwarzian(f.jet(z))) * delta ** 2
-        except (NotLocallyUnivalentError, SingularPointError,
-                OutsideDomainError) as exc:
-            return ("skip", z, str(exc), None)
-        return ("ok", z, v, t)
+    z = samples.points(D)
+    faults = Faults(z.shape)
+    with np.errstate(all="ignore"):
+        v, t = _evaluate(f, D, z, kind, n_boundary, faults)
+    checks = [(v < lo - rtol, v, lo), (v > hi + rtol, v, hi)]
+    if t is not None:
+        checks.append((t > 8.0 + rtol, t, 8.0))
+    return _report(kind, constants, z, v, faults, checks)
 
-    values = []
-    skipped = []
-    extra_violations = []
-    for status, z, payload, t in ordered_map(evaluate, samples.points(D)):
-        if status == "ok":
-            values.append((payload, z))
-            if t is not None and t > 8.0 + rtol:
-                extra_violations.append({"z": z, "lhs": t, "rhs": 8.0})
-        else:
-            skipped.append({"z": z, "reason": payload})
 
-    if not values:
+def _report(kind, constants, z, v, faults, checks,
+            skippable=_SKIPPED) -> BoundReport:
+    """BoundReport of the values v over the samples z that `faults` leaves
+    clean.  A flagged sample is skipped when its entry is a reason string or
+    a `skippable` error; any other error aborts, as in a per-sample loop.
+    `checks` lists (violated, lhs, rhs) over all samples, in report order."""
+    skip = sorted(faults.errors)
+    for i in skip:
+        err = faults.errors[i]
+        if isinstance(err, Exception) and not isinstance(err, skippable):
+            raise err
+    ok = faults.clean
+    if not ok.any():
         raise ConformalMetricsError("all samples were skipped")
-    vmin, zmin = min(values, key=lambda t: t[0])
-    vmax, zmax = max(values, key=lambda t: t[0])
+    zs, vs = z[ok], v[ok]
+    imin, imax = int(np.argmin(vs)), int(np.argmax(vs))
     violations = [
-        {"z": z, "lhs": v, "rhs": lo} for v, z in values if v < lo - rtol
-    ] + [
-        {"z": z, "lhs": v, "rhs": hi} for v, z in values if v > hi + rtol
-    ] + extra_violations
-    return BoundReport(kind, constants, len(values), vmin, vmax, zmin, zmax,
+        {"z": w, "lhs": x, "rhs": rhs}
+        for bad, lhs, rhs in checks
+        for w, x in zip(z[ok & bad].tolist(), lhs[ok & bad].tolist())
+    ]
+    skipped = [{"z": complex(z[i]), "reason": str(faults.errors[i])}
+               for i in skip]
+    return BoundReport(kind, constants, len(vs), float(vs[imin]),
+                       float(vs[imax]), complex(zs[imin]), complex(zs[imax]),
                        violations, skipped)
+
+
+def _evaluate(f, D, z, kind, n_boundary, faults):
+    """(value, T) of a bound kind at every sample; T is |f''/f'|/lambda for
+    cor43 and None otherwise.  Checks are flagged in `faults` in the order
+    the scalar API makes them, so each sample keeps the error a per-sample
+    evaluation would raise."""
+    if kind in _NEEDS_LAMBDA:
+        lam = domains.checked_density(D, z, faults)
+    if kind in _NEEDS_DELTA:
+        delta = domains.checked_delta(D, z, faults)
+    if kind == "lambda_delta":
+        return lam * delta, None
+    if kind in ("thm21", "thm41", "cor43", "lemma31"):
+        jet = maps.checked_jet(f, z, faults)
+        faults.flag(jet.f1 == 0, lambda i: _critical_point(complex(z[i])))
+        ratio = np.abs(jet.f1) / _image_delta(f, D, z, jet, n_boundary,
+                                              faults)
+        if kind == "lemma31":
+            return ratio * delta, None
+        t = np.abs(pre_schwarzian(jet)) / lam if kind == "cor43" else None
+        return ratio / lam, t
+    jet = maps.checked_jet(f, z, faults)
+    if kind == "koebe_distortion":
+        d_image = _image_delta(f, D, z, jet, n_boundary, faults)
+        den = (1.0 - np.abs(z) ** 2) * np.abs(jet.f1)
+        faults.flag(den == 0, ZeroDivisionError("float division by zero"))
+        return d_image / den, None
+    if kind in ("osgood_T", "osgood_T_delta"):
+        faults.flag(jet.f1 == 0,
+                    NotLocallyUnivalentError(jets.PRE_SCHWARZIAN_UNDEFINED))
+        size = np.abs(pre_schwarzian(jet))
+        return (size / lam if kind == "osgood_T" else size * delta), None
+    faults.flag(jet.f1 == 0,
+                NotLocallyUnivalentError(jets.SCHWARZIAN_UNDEFINED))
+    size = np.abs(schwarzian(jet))
+    return (size / lam ** 2 if kind == "lehto_S" else size * delta ** 2), None
+
+
+def _image_delta(f, D, z, jet, n_boundary, faults):
+    """domains.image_boundary_distance at every sample, given the jets."""
+    if not f.univalent:
+        faults.flag(True, MapNotUnivalentError(f"{f.kind} is not univalent"))
+    domains.require_inside(D, z, faults)
+    if f.image_domain is not None:
+        return domains.checked_delta(f.image_domain, jet.f0, faults)
+    # sampled image: one boundary scan per sample
+    d = np.full(z.shape, np.nan)
+    for i in np.flatnonzero(faults.clean):
+        try:
+            d[i] = domains.image_boundary_distance(f, D, complex(z[i]),
+                                                   n_boundary)
+        except (ConformalMetricsError, ArithmeticError, ValueError) as exc:
+            faults.flag(np.arange(z.size) == i, exc)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -403,35 +481,26 @@ def check_composition_laws(f: AnalyticMap, g: AnalyticMap,
                            samples: SampleSet, rtol: float = 1e-11) -> BoundReport:
     """T_{f o g} = (T_f o g) g' + T_g and S_{f o g} = (S_f o g) g'^2 + S_g,
     checked with exact jets at every sample."""
-    values = []
-    skipped = []
-    for z in samples.points(g.base_domain):
-        try:
-            jg = g.jet(z)
-            jf = f.jet(jg.f0)
-            jh = compose(jf, jg)
-            t_direct = pre_schwarzian(jh)
-            t_law = pre_schwarzian(jf) * jg.f1 + pre_schwarzian(jg)
-            s_direct = schwarzian(jh)
-            s_law = schwarzian(jf) * jg.f1 ** 2 + schwarzian(jg)
-        except (NotLocallyUnivalentError, SingularPointError,
-                OutsideDomainError) as exc:
-            skipped.append({"z": z, "reason": str(exc)})
-            continue
-        dev_t = abs(t_direct - t_law) / max(1.0, abs(t_direct))
+    z = samples.points(g.base_domain)
+    faults = Faults(z.shape)
+    with np.errstate(all="ignore"):
+        jg = maps.checked_jet(g, z, faults)
+        jf = maps.checked_jet(f, jg.f0, faults)
+        jh = jets.check_finite(compose(jf, jg), faults)
+        faults.flag((jh.f1 == 0) | (jf.f1 == 0) | (jg.f1 == 0),
+                    NotLocallyUnivalentError(jets.PRE_SCHWARZIAN_UNDEFINED))
+        t_direct = pre_schwarzian(jh)
+        t_law = pre_schwarzian(jf) * jg.f1 + pre_schwarzian(jg)
+        s_direct = schwarzian(jh)
+        s_law = schwarzian(jf) * jg.f1 ** 2 + schwarzian(jg)
+        dev_t = np.abs(t_direct - t_law) / np.maximum(1.0, np.abs(t_direct))
         # S is a difference of terms of size |T|^2, so that is the scale on
         # which float cancellation happens and the right normalizer
-        dev_s = abs(s_direct - s_law) / max(1.0, abs(s_direct),
-                                            abs(t_direct) ** 2)
-        values.append((max(dev_t, dev_s), z))
-    if not values:
-        raise ConformalMetricsError("all samples were skipped")
-    vmin, zmin = min(values, key=lambda t: t[0])
-    vmax, zmax = max(values, key=lambda t: t[0])
-    violations = [{"z": z, "lhs": v, "rhs": rtol}
-                  for v, z in values if v > rtol]
-    return BoundReport("composition_laws", {"rtol": rtol}, len(values),
-                       vmin, vmax, zmin, zmax, violations, skipped)
+        dev_s = np.abs(s_direct - s_law) / np.maximum(
+            np.maximum(1.0, np.abs(s_direct)), np.abs(t_direct) ** 2)
+        v = np.maximum(dev_t, dev_s)
+    return _report("composition_laws", {"rtol": rtol}, z, v, faults,
+                   [(v > rtol, v, rtol)])
 
 
 def check_covering_identity(samples: SampleSet, rtol: float = 1e-10,
@@ -444,30 +513,16 @@ def check_covering_identity(samples: SampleSet, rtol: float = 1e-10,
     asserts.
     """
     p = maps.punctured_disk_covering_map()
-    dstar = domains.punctured_disk()
-    values = []
-    skipped = []
-    for z in samples.disk_points():
-        if abs(z) > max_radius:
-            skipped.append({"z": z, "reason": "near-boundary precision"})
-            continue
-        j = p.jet(z)
-        if abs(j.f0) < 1e-300:
-            skipped.append({"z": z, "reason": "covering value underflow"})
-            continue
-        v = domains.hyperbolic_density(dstar, j.f0) * abs(j.f1) * (
-            1.0 - abs(z) ** 2
-        )
-        values.append((v, z))
-    if not values:
-        raise ConformalMetricsError("all samples were skipped")
-    vmin, zmin = min(values, key=lambda t: t[0])
-    vmax, zmax = max(values, key=lambda t: t[0])
-    violations = [{"z": z, "lhs": v, "rhs": 1.0}
-                  for v, z in values if abs(v - 1.0) > rtol]
-    return BoundReport("covering_identity", {"target": 1.0, "rtol": rtol},
-                       len(values), vmin, vmax, zmin, zmax, violations,
-                       skipped)
+    z = samples._disk_array()
+    faults = Faults(z.shape)
+    with np.errstate(all="ignore"):
+        faults.flag(np.abs(z) > max_radius, "near-boundary precision")
+        j = maps.checked_jet(p, z, faults)
+        faults.flag(np.abs(j.f0) < 1e-300, "covering value underflow")
+        lam = domains.checked_density(domains.punctured_disk(), j.f0, faults)
+        v = lam * np.abs(j.f1) * (1.0 - np.abs(z) ** 2)
+    return _report("covering_identity", {"target": 1.0, "rtol": rtol}, z, v,
+                   faults, [(np.abs(v - 1.0) > rtol, v, 1.0)], skippable=())
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +532,14 @@ def estimate_uniformity_constant(D: Domain, samples: SampleSet) -> float:
     """Empirical Q-hat = max over samples of 1/(lambda_D delta_D); converges
     to the domain constant of uniformity from below (infinite supremum for
     non-uniformly-perfect domains such as the punctured disk)."""
-    best = 0.0
-    for z in samples.points(D):
-        q = 1.0 / (domains.hyperbolic_density(D, z)
-                   * domains.boundary_distance(D, z))
-        if q > best:
-            best = q
-    return best
+    z = samples.points(D)
+    faults = Faults(z.shape)
+    with np.errstate(all="ignore"):
+        q = 1.0 / (domains.checked_density(D, z, faults)
+                   * domains.checked_delta(D, z, faults))
+    if faults.errors:
+        raise faults.errors[min(faults.errors)]
+    return float(np.max(q, where=q > 0.0, initial=0.0))
 
 
 def lambda_lower_violation_witness(c: float) -> complex:

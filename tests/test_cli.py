@@ -160,13 +160,29 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
 
 
-def test_worker_count_does_not_change_output(capsys, monkeypatch):
-    argv = ["verify", "--kind", "thm21", "--map", "koebe", "--domain",
-            "disk", "--samples", "300", "--seed", "3"]
-    run1 = run(capsys, *argv)
-    monkeypatch.setenv("CONFORMAL_METRICS_THREADS", "4")
-    run2 = run(capsys, *argv)
-    assert run1 == run2
+@pytest.mark.parametrize("argv, want", [
+    (["density", "--domain", "disk", "--at", "-0.5,0.3"], 1 / (1 - 0.34)),
+    (["distance", "--domain", "disk", "--metric", "hyp",
+      "--from", "-0.3,0.1", "--to", "0"],
+     math.atanh(abs(complex(-0.3, 0.1)))),
+    (["distance", "--domain", "disk", "--metric", "hyp",
+      "--from", "0", "--to", "-0.2"], math.atanh(0.2)),
+    (["distance", "--domain", "disk", "--metric", "hyp",
+      "--from", "0", "--to", "-0.2,-0.1"],
+     math.atanh(abs(complex(-0.2, -0.1)))),
+], ids=["at", "from", "to", "to-complex"])
+def test_negative_complex_literals_are_values(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert float(out) == pytest.approx(want, abs=1e-9)
+
+
+def test_eps_below_float_resolution_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--kind", "thm21", "--map",
+                         "koebe", "--domain", "disk", "--strategy",
+                         "near_boundary", "--eps", "1e-300")
+    assert code == 2 and out == ""
+    assert "error:" in err and "float resolution" in err
 
 
 def test_out_file_writing(tmp_path, capsys):

@@ -184,18 +184,22 @@ def test_image_boundary_distance_sampled_route():
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels agree with the scalar ones
+# array kernels give the same values on arrays as point by point
 
 def test_vectorized_agree_with_scalar():
     rng = np.random.default_rng(3)
     z = (rng.uniform(-0.7, 0.7, 64) + 1j * rng.uniform(-0.7, 0.7, 64))
-    for D in (unit_disk(), punctured_disk(), slit_disk(0),
-              koebe_slit_plane()):
+    for D in (unit_disk(), punctured_disk(), upper_half_plane(),
+              slit_disk(0), koebe_slit_plane()):
         mask = domains.contains_vec(D, z)
         zi = z[mask]
         dv = domains.delta_vec(D, zi)
         lv = domains.density_vec(D, zi)
         for k, p in enumerate(zi):
-            assert contains(D, complex(p))
-            assert dv[k] == pytest.approx(boundary_distance(D, complex(p)))
-            assert lv[k] == pytest.approx(hyperbolic_density(D, complex(p)))
+            one = np.array([p])
+            assert domains.contains_vec(D, one)[0] and contains(D, p)
+            assert dv[k] == domains.delta_vec(D, one)[0]
+            assert lv[k] == domains.density_vec(D, one)[0]
+            assert dv[k] == boundary_distance(D, complex(p))
+            assert lv[k] == hyperbolic_density(D, complex(p))
+        assert not any(contains(D, p) for p in z[~mask])

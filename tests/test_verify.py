@@ -1,32 +1,42 @@
 import cmath
 import math
 import random
+from dataclasses import dataclass, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformal_metrics import (
     BOUND_KINDS,
+    ConformalMetricsError,
+    NotLocallyUnivalentError,
     OutsideDomainError,
     SampleSet,
+    SingularPointError,
+    boundary_distance,
     cayley_map,
     check_composition_laws,
     check_covering_identity,
     check_distance_comparison,
     check_log_construction,
     check_pointwise_bounds,
+    compose_maps,
     distortion_ratio,
     estimate_uniformity_constant,
     hyperbolic_density,
     identity_map,
+    image_boundary_distance,
     koebe_map,
     koebe_slit_plane,
     log_slit_map,
     mobius_map,
     power_map,
+    pre_schwarzian,
     punctured_disk,
     punctured_disk_covering_map,
     punctured_disk_ratio,
+    schwarzian,
     slit_disk,
     unit_disk,
     upper_half_plane,
@@ -367,3 +377,213 @@ def test_uniformity_disk_never_exceeds_two(seed):
         unit_disk(), SampleSet(seed=seed, count=256)
     )
     assert q <= 2.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batch engine against a per-sample loop over the scalar API
+
+@dataclass(frozen=True)
+class PickedSamples(SampleSet):
+    """Seeded samples followed by hand-picked points; with count=0 only the
+    picked points."""
+
+    picked: tuple = ()
+
+    def __post_init__(self):
+        pass  # count may be 0
+
+    def points(self, D):
+        seeded = super().points(D) if self.count else np.empty(0, complex)
+        return np.concatenate([seeded, np.array(self.picked, dtype=complex)])
+
+
+_LAMBDA_KINDS = {"thm21", "thm41", "cor43", "lambda_delta", "osgood_T",
+                 "lehto_S"}
+_DELTA_KINDS = {"lemma31", "lambda_delta", "osgood_T_delta", "gehring_S"}
+
+
+def _reference_check(f, D, samples, kind, n_boundary=4096):
+    """check_pointwise_bounds as one scalar evaluation per sample: the
+    values as (v, z), the skipped samples and the cor43 T values."""
+    values, skipped, t_values = [], [], []
+    for z in samples.points(D).tolist():
+        try:
+            if kind in _LAMBDA_KINDS:
+                lam = hyperbolic_density(D, z)
+            if kind in _DELTA_KINDS:
+                delta = boundary_distance(D, z)
+            if kind == "lambda_delta":
+                v = lam * delta
+            elif kind in ("thm21", "thm41", "cor43"):
+                v = distortion_ratio(f, D, z, n_boundary) / lam
+                if kind == "cor43":
+                    t_values.append(
+                        (abs(pre_schwarzian(f.jet(z))) / lam, z))
+            elif kind == "lemma31":
+                v = distortion_ratio(f, D, z, n_boundary) * delta
+            elif kind == "koebe_distortion":
+                j = f.jet(z)
+                v = image_boundary_distance(f, D, z, n_boundary) / (
+                    (1.0 - abs(z) ** 2) * abs(j.f1))
+            elif kind == "osgood_T":
+                v = abs(pre_schwarzian(f.jet(z))) / lam
+            elif kind == "osgood_T_delta":
+                v = abs(pre_schwarzian(f.jet(z))) * delta
+            elif kind == "lehto_S":
+                v = abs(schwarzian(f.jet(z))) / lam ** 2
+            else:
+                v = abs(schwarzian(f.jet(z))) * delta ** 2
+        except (NotLocallyUnivalentError, SingularPointError,
+                OutsideDomainError) as exc:
+            skipped.append({"z": z, "reason": str(exc)})
+            continue
+        values.append((v, z))
+    if not values:
+        raise ConformalMetricsError("all samples were skipped")
+    return values, skipped, t_values
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared below, type and message
+        return exc
+
+
+_ON_CIRCLE = cmath.rect(1.0, 0.1)        # |z| rounds to exactly 1
+_NEAR_SLIT = -0.5 + 1e-16j               # slit-disk preimage rounds to |.| = 1
+_KOEBE_TO_TIP = -0.999999999             # koebe value rounds to -1/4
+_CAYLEY_TO_AXIS = 0.19846971337464014 + 0.9801070211323802j
+_MOBIUS = mobius_map(0.3 + 0.2j, 0.7)
+_MOBIUS_TO_CIRCLE = 0.9999995000000416 + 0.0009999998333333415j
+_ONE_MINUS = 1 - 2 ** -53                # mobius(-0.99) rounds it to 1
+_MINUS_ONE_PLUS = -(1 - 2 ** -53)        # mobius(0.99) rounds it to -1
+
+# (kind, map, domain, seeded strategy or None for the picked points alone,
+#  picked points, keyword arguments of check_pointwise_bounds)
+PARITY_CASES = [
+    ("thm21", koebe_map(), unit_disk(), "uniform_disk",
+     (_ON_CIRCLE, _KOEBE_TO_TIP), {}),
+    ("thm21", compose_maps(koebe_map(), mobius_map(-0.99)), unit_disk(),
+     "near_boundary", (_ONE_MINUS,), {}),
+    ("thm21", compose_maps(koebe_map(), mobius_map(0.99)), unit_disk(),
+     "uniform_disk", (_MINUS_ONE_PLUS,), {}),
+    ("thm21", cayley_map(), unit_disk(), "near_boundary",
+     (_CAYLEY_TO_AXIS,), {}),
+    ("thm21", koebe_map(), unit_disk(), "uniform_disk", (),
+     {"constants_override": {"lower": 1.5, "upper": 3.0}}),
+    ("lemma31", _MOBIUS, unit_disk(), "near_boundary",
+     (_MOBIUS_TO_CIRCLE, 1.0), {}),
+    ("lemma31", log_slit_map(0, 1), slit_disk(0), "near_puncture",
+     (_NEAR_SLIT, -0.5), {}),
+    ("lambda_delta", None, slit_disk(0), "uniform_disk",
+     (_NEAR_SLIT, -0.5, 0j), {}),
+    ("lambda_delta", None, punctured_disk(), "near_puncture", (0j,), {}),
+    ("koebe_distortion", cayley_map(), unit_disk(), "uniform_disk",
+     (1.0, _CAYLEY_TO_AXIS), {}),
+    ("osgood_T", log_slit_map(0, 1), slit_disk(0), "uniform_disk",
+     (_NEAR_SLIT, 0j), {}),
+    ("osgood_T_delta", power_map(2), unit_disk(), "uniform_disk", (0j,), {}),
+    ("osgood_T_delta", koebe_map(), upper_half_plane(), "uniform_disk",
+     (-1j,), {}),
+    ("lehto_S", identity_map(), koebe_slit_plane(), "near_puncture",
+     (-0.5,), {}),
+    ("gehring_S", power_map(2), unit_disk(), "radial_line", (0j, 0.5), {}),
+    ("thm41", _MOBIUS, unit_disk(), "uniform_disk", (_MOBIUS_TO_CIRCLE,),
+     {"Q": 2.0}),
+    ("cor43", koebe_map(), unit_disk(), "near_boundary",
+     (_ON_CIRCLE, _KOEBE_TO_TIP), {}),
+    # a negative rtol turns samples of all three kinds into violations
+    ("cor43", koebe_map(), unit_disk(), "uniform_disk", (), {"rtol": -3.0}),
+    # image unknown: delta from mapped boundary samples, one scan per sample
+    ("thm21", replace(_MOBIUS, image_domain=None), unit_disk(),
+     "uniform_disk", (_ON_CIRCLE,), {"n_boundary": 256}),
+]
+
+# cases where a per-sample loop raises instead of skipping
+ABORT_CASES = [
+    # c/u^3 overflows: Jet3 rejects the non-finite entry
+    ("lemma31", log_slit_map(0, 1), slit_disk(0), "uniform_disk",
+     (1e-120 + 1e-120j,), {}),
+    # not univalent, with a closed-form image
+    ("thm41", punctured_disk_covering_map(), unit_disk(), "uniform_disk", (),
+     {"Q": 2.0}),
+    # 1 - |z|^2 = 0 inside the shifted slit disk
+    ("koebe_distortion", log_slit_map(0.3, 1), slit_disk(0.3),
+     "uniform_disk", (1.0,), {}),
+    # the only sample has f'(z) = 0
+    ("thm41", power_map(2), unit_disk(), None, (0j,), {"Q": 2.0}),
+]
+
+
+def _run_parity(case):
+    kind, f, D, strategy, picked, kwargs = case
+    samples = PickedSamples(seed=11, count=300 if strategy else 0,
+                            strategy=strategy or "uniform_disk",
+                            picked=picked)
+    rep = _outcome(lambda: check_pointwise_bounds(f, D, samples, kind,
+                                                  **kwargs))
+    ref = _outcome(lambda: _reference_check(
+        f, D, samples, kind, kwargs.get("n_boundary", 4096)))
+    return rep, ref
+
+
+@pytest.mark.parametrize("case", PARITY_CASES,
+                         ids=[f"{c[0]}-{i}" for i, c in
+                              enumerate(PARITY_CASES)])
+def test_batch_engine_matches_per_sample_loop(case):
+    rep, ref = _run_parity(case)
+    assert not isinstance(ref, Exception), ref
+    assert not isinstance(rep, Exception), rep
+    values, skipped, t_values = ref
+    assert rep.samples_checked == len(values)
+    assert rep.skipped == skipped
+    lo, hi, rtol = (rep.constants[k] for k in ("lower", "upper", "rtol"))
+    want = ([(z, v) for v, z in values if v < lo - rtol]
+            + [(z, v) for v, z in values if v > hi + rtol]
+            + [(z, t) for t, z in t_values if t > 8.0 + rtol])
+    assert [v["z"] for v in rep.violations] == [z for z, _ in want]
+    for got, (_, v) in zip(rep.violations, want):
+        assert got["lhs"] == pytest.approx(v, rel=1e-12, abs=0)
+    vs = [v for v, _ in values]
+    assert rep.min_ratio == pytest.approx(min(vs), rel=1e-12, abs=0)
+    assert rep.max_ratio == pytest.approx(max(vs), rel=1e-12, abs=0)
+
+
+def test_parity_cases_reach_every_kind_and_skip_reason():
+    reasons = set()
+    for case in PARITY_CASES:
+        rep, _ = _run_parity(case)
+        reasons |= {s["reason"].split(" ")[-1] if "interior" in s["reason"]
+                    else s["reason"] for s in rep.skipped}
+    assert {c[0] for c in PARITY_CASES} == set(BOUND_KINDS)
+    assert {"Domain(unit_disk)", "Domain(koebe_slit_plane)",
+            "Domain(upper_half_plane)", "Domain(punctured_disk)",
+            "point too close to the slit for the density route",
+            "koebe is singular at z = 1",
+            "pre-Schwarzian undefined: f' = 0",
+            "Schwarzian undefined: f' = 0",
+            f"f'({complex(_MINUS_ONE_PLUS)}) = 0"} <= reasons
+    assert any("outside base domain of koebe" in r for r in reasons)
+
+
+@pytest.mark.parametrize("case", ABORT_CASES,
+                         ids=[f"{c[0]}-{i}" for i, c in
+                              enumerate(ABORT_CASES)])
+def test_batch_engine_aborts_like_per_sample_loop(case):
+    rep, ref = _run_parity(case)
+    assert isinstance(ref, Exception)
+    assert type(rep) is type(ref)
+    assert str(rep) == str(ref)
+
+
+def test_near_boundary_eps_below_float_resolution_rejected():
+    for eps in (1e-300, 5e-17):
+        with pytest.raises(ValueError, match="float resolution"):
+            SampleSet(seed=0, count=10, strategy="near_boundary", eps=eps)
+    for eps in (None, 1e-6, 1e-8):
+        pts = SampleSet(seed=0, count=10, strategy="near_boundary",
+                        eps=eps).disk_points()
+        assert all(abs(z) < 1 for z in pts)
+    # the puncture has no such limit
+    SampleSet(seed=0, count=10, strategy="near_puncture", eps=1e-300)
