@@ -12,7 +12,6 @@ from .domains import (
     contains,
     hyperbolic_density,
     image_boundary_distance,
-    image_domain,
     koebe_slit_plane,
     log_strip,
     punctured_disk,
@@ -26,7 +25,6 @@ from .errors import (
     IncompatibleCompositionError,
     InvalidParameterError,
     MapNotUnivalentError,
-    MembershipUndecidableError,
     NoDensityRouteError,
     NoGridPathError,
     NotLocallyUnivalentError,
@@ -51,7 +49,6 @@ from .metrics import (
     Polyline,
     SolverConfig,
     hyperbolic_distance_disk,
-    hyperbolic_distance_via_map,
     path_quadrature,
     quasihyperbolic_distance,
     quasihyperbolic_distance_detailed,

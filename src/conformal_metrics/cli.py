@@ -41,15 +41,7 @@ _DOMAIN_TAGS = {
 
 
 def parse_domain_spec(spec: str) -> Domain:
-    """disk | pdisk | uhp | koebe-slit | slit-disk | image:<map>:<base>:<n>"""
-    tokens = spec.split(":")
-    if tokens[0] == "image":
-        if len(tokens) < 4:
-            raise ValueError("image domain spec is image:<map>:<base>:<n>")
-        n = int(tokens[-1])
-        base = parse_domain_spec(tokens[-2])
-        f = maps.parse_map_spec(":".join(tokens[1:-2]))
-        return domains.image_domain(f, base, n)
+    """disk | pdisk | uhp | koebe-slit | slit-disk"""
     try:
         return _DOMAIN_TAGS[spec]()
     except KeyError:
@@ -95,10 +87,9 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    r = verify.distortion_ratio(
-        maps.parse_map_spec(args.map), parse_domain_spec(args.domain),
-        parse_complex(args.at), n_boundary=args.boundary_samples,
-    )
+    r = verify.distortion_ratio(maps.parse_map_spec(args.map),
+                                parse_domain_spec(args.domain),
+                                parse_complex(args.at))
     _emit(f"{r:.9f}\n", args.out)
     return 0
 
@@ -160,8 +151,7 @@ def _cmd_verify(args) -> int:
                                 strategy="near_boundary", eps=1e-6)
         )
     report = verify.check_pointwise_bounds(
-        f, D, samples, args.kind, Q=q, n_boundary=args.boundary_samples,
-        constants_override=override,
+        f, D, samples, args.kind, Q=q, constants_override=override,
     )
     _emit(json.dumps(report.to_json_dict()) + "\n", args.out)
     return 0 if report.passed else 1
@@ -179,7 +169,7 @@ def _cmd_sweep(args) -> int:
             value = verify.punctured_disk_ratio(z)
             bound = float("inf")
         elif args.quantity == "ratio":
-            value = verify.distortion_ratio(f, D, z, args.boundary_samples)
+            value = verify.distortion_ratio(f, D, z)
             bound = 4.0 * domains.hyperbolic_density(D, z)
         elif args.quantity == "T":
             value = abs(verify.pre_schwarzian(f.jet(z)))
@@ -244,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--domain", required=True)
     p.add_argument("--at", required=True)
-    p.add_argument("--boundary-samples", type=int, default=4096)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_ratio)
 
@@ -264,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=list(verify.BOUND_KINDS))
     p.add_argument("--map")
     p.add_argument("--domain", required=True)
-    p.add_argument("--boundary-samples", type=int, default=4096)
     p.add_argument("--q", type=float, default=None,
                    help="uniformity constant for thm41 (estimated if absent)")
     p.add_argument("--upper-constant", type=float, default=None,
@@ -283,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--boundary-samples", type=int, default=4096)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sweep)
 

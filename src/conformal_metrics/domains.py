@@ -1,25 +1,22 @@
 """Catalog of hyperbolic plane regions.
 
-Each domain answers membership, Euclidean boundary distance, hyperbolic
-density (curvature -4 normalization throughout: lambda_disk(z) = 1/(1-|z|^2))
-and produces boundary samples.  Densities of the two slit domains are obtained
-by pulling the disk density back through explicit conformal maps; everything
-else is closed form.
+Each domain answers membership, Euclidean boundary distance and hyperbolic
+density (curvature -4 normalization throughout: lambda_disk(z) = 1/(1-|z|^2)).
+Densities of the two slit domains are obtained by pulling back the density of
+a model domain through explicit conformal maps; everything else is closed
+form.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     Faults,
     MapNotUnivalentError,
-    MembershipUndecidableError,
     NoDensityRouteError,
     OutsideDomainError,
     SingularPointError,
@@ -34,18 +31,13 @@ __all__ = [
     "koebe_slit_plane",
     "slit_disk",
     "log_strip",
-    "image_domain",
     "contains",
     "boundary_distance",
     "hyperbolic_density",
     "pushforward_density",
     "image_boundary_distance",
-    "boundary_samples",
     "simply_connected",
 ]
-
-# Truncation radius for sampling unbounded boundary components.
-SLIT_TRUNCATION_RADIUS = 1e6
 
 
 @dataclass(frozen=True)
@@ -54,8 +46,6 @@ class Domain:
 
     kind: str
     params: tuple = ()
-    # Opaque payload for image domains: (map, base, boundary_samples).
-    payload: Any = field(default=None, compare=False)
 
     def __repr__(self):
         if self.params:
@@ -97,16 +87,6 @@ def log_strip(c: complex = 1 + 0j) -> Domain:
     return Domain("log_strip", (complex(c),))
 
 
-def image_domain(f, base: Domain, boundary_samples_count: int) -> Domain:
-    """Image of `base` under a univalent map, known only through boundary
-    samples."""
-    if not f.univalent:
-        raise MapNotUnivalentError("image domains require a univalent map")
-    if boundary_samples_count < 64:
-        raise ValueError("image domains need at least 64 boundary samples")
-    return Domain("image", (boundary_samples_count,), payload=(f, base))
-
-
 # ---------------------------------------------------------------------------
 # array kernels: membership, boundary distance and density
 #
@@ -131,10 +111,6 @@ def contains_vec(D: Domain, z: np.ndarray) -> np.ndarray:
     if kind == "log_strip":
         u = z / D.params[0]
         return (u.real < 0.0) & (np.abs(u.imag) < math.pi)
-    if kind == "image":
-        raise MembershipUndecidableError(
-            "membership of a raw point in a sampled image domain is undecidable"
-        )
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
@@ -161,13 +137,7 @@ def delta_vec(D: Domain, z: np.ndarray) -> np.ndarray:
         return np.abs(c) * np.minimum(
             -u.real, np.minimum(math.pi - u.imag, math.pi + u.imag)
         )
-    raise NoDensityRouteError(f"no vectorized delta for {D}")
-
-
-def _koebe_inverse(w: np.ndarray) -> np.ndarray:
-    # Solve w*z^2 - (2w+1)*z + w = 0 for the root inside the disk.  The
-    # principal sqrt is safe: 4w+1 hits the cut only on the excluded ray.
-    return np.where(w == 0, 0j, (2 * w + 1 - np.sqrt(4 * w + 1)) / (2 * w))
+    raise ValueError(f"unknown domain kind {kind!r}")
 
 
 def _slit_disk_preimage(u: np.ndarray):
@@ -192,9 +162,10 @@ def _slit_disk_preimage(u: np.ndarray):
 def density_vec(D: Domain, z: np.ndarray) -> np.ndarray:
     """Hyperbolic density of interior points, curvature -4 normalization.
 
-    The two slit domains pull the disk density back through their
-    uniformizing maps.  On the slit disk the result is nan where the
-    preimage of a point rounds onto the unit circle.
+    The Koebe slit plane pulls back the right half-plane density
+    1/(2 Re s) through s = sqrt(4z + 1); the slit disk pulls back the disk
+    density through its uniformizing map, and gives nan where the preimage
+    of a point rounds onto the unit circle.
     """
     kind = D.kind
     if kind == "unit_disk":
@@ -206,12 +177,9 @@ def density_vec(D: Domain, z: np.ndarray) -> np.ndarray:
         return 1.0 / (2.0 * z.imag)
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "koebe_slit_plane":
-            from .maps import _jet_formula, koebe_map
-
-            # lambda_disk(z0) / |k'(z0)| at the Koebe preimage z0 of z
-            z0 = _koebe_inverse(z)
-            k1 = _jet_formula(koebe_map(), z0, Faults(z0.shape)).f1
-            return (1.0 / (1.0 - np.abs(z0) ** 2)) / np.abs(k1)
+            # lambda_H(s) |ds/dz| with lambda_H(s) = 1/(2 Re s), ds/dz = 2/s
+            s = np.sqrt(4 * z + 1)
+            return 1.0 / (np.abs(s) * s.real)
         if kind == "slit_disk":
             zeta, dphi = _slit_disk_preimage(z - D.params[0])
             den = 1.0 - np.abs(zeta) ** 2
@@ -237,8 +205,8 @@ def checked_delta(D: Domain, z: np.ndarray, faults: Faults) -> np.ndarray:
 def checked_density(D: Domain, z: np.ndarray, faults: Faults) -> np.ndarray:
     """density_vec, flagging points outside D and slit-disk points too close
     to the slit for the density route."""
-    if D.kind in ("image", "log_strip"):
-        # no conformal route back to the disk is stored for these
+    if D.kind == "log_strip":
+        # no conformal route back to the disk is stored for it
         raise NoDensityRouteError(f"no conformal route to the disk for {D}")
     require_inside(D, z, faults)
     lam = density_vec(D, z)
@@ -264,11 +232,7 @@ def _require_inside(D: Domain, z: complex):
 
 
 def boundary_distance(D: Domain, z: complex) -> float:
-    """Euclidean distance from z to the boundary of D (closed forms, except
-    for sampled image domains)."""
-    if D.kind == "image":
-        bs = boundary_samples(D, D.params[0])
-        return min(abs(complex(z) - b) for b in bs)
+    """Euclidean distance from z to the boundary of D (closed forms)."""
     return float(at_point(checked_delta, D, z)[0])
 
 
@@ -290,92 +254,19 @@ def pushforward_density(f, base: Domain, z: complex) -> float:
 # ---------------------------------------------------------------------------
 # image boundary distance
 
-def image_boundary_distance(f, base: Domain, z: complex, n: int = 4096) -> float:
-    """delta of f(base) at f(z).
-
-    Exact when the image domain is in the catalog; otherwise the minimum
-    distance to n mapped boundary samples (an upper approximation that
-    converges as n grows).
-    """
+def image_boundary_distance(f, base: Domain, z: complex) -> float:
+    """delta of f(base) at f(z), in the catalog image domain of f."""
     if not f.univalent:
         raise MapNotUnivalentError(f"{f.kind} is not univalent")
+    if f.image_domain is None:
+        raise no_image_error(f)
     _require_inside(base, z)
-    w = f.value(z)
-    if f.image_domain is not None:
-        return boundary_distance(f.image_domain, w)
-    if n < 64:
-        raise ValueError("need at least 64 boundary samples")
-    fb = _mapped_boundary(f, base, n)
-    if not fb.size:
-        raise ValueError("no usable boundary samples")
-    return float(np.min(np.abs(w - fb)))
+    return boundary_distance(f.image_domain, f.value(z))
 
 
-def _mapped_boundary(f, base: Domain, n: int) -> np.ndarray:
-    """f at n boundary samples of base, leaving out the samples where its
-    jet is not finite (essential singularities on the boundary); a sample
-    at a singular point of the formula raises."""
-    from .maps import _jet_formula
-
-    b = np.array(boundary_samples(base, n), dtype=complex)
-    faults = Faults(b.shape)
-    with np.errstate(all="ignore"):
-        fb = _jet_formula(f, b, faults).f0
-    for i in sorted(faults.errors):
-        if isinstance(faults.errors[i], SingularPointError):
-            raise faults.errors[i]
-    return fb[faults.clean]
-
-
-# ---------------------------------------------------------------------------
-# boundary sampling
-
-def _geometric_ray(n: int, radius: float) -> np.ndarray:
-    """n offsets along [0, radius] starting at 0 with geometric spacing."""
-    if n == 1:
-        return np.array([0.0])
-    return (radius + 1.0) ** (np.arange(n) / (n - 1)) - 1.0
-
-
-def boundary_samples(D: Domain, n: int) -> list[complex]:
-    """n points approximately equidistributed over the boundary components."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    kind = D.kind
-    if kind == "unit_disk":
-        th = 2 * math.pi * np.arange(n) / n
-        return [cmath.rect(1.0, t) for t in th]
-    if kind == "punctured_disk":
-        return [0j] + boundary_samples(unit_disk(), n - 1) if n > 1 else [0j]
-    if kind == "upper_half_plane":
-        half = (n - 1) // 2
-        pos = _geometric_ray(half + 1, SLIT_TRUNCATION_RADIUS)
-        xs = sorted(set(np.concatenate([-pos, pos]).tolist()))[: max(n, 1)]
-        return [complex(x, 0.0) for x in xs]
-    if kind == "koebe_slit_plane":
-        offs = _geometric_ray(n, SLIT_TRUNCATION_RADIUS)
-        return [complex(-0.25 - t, 0.0) for t in offs]
-    if kind == "slit_disk":
-        c = D.params[0]
-        ncirc = (n + 1) // 2
-        nseg = n - ncirc
-        pts = [c + p for p in boundary_samples(unit_disk(), ncirc)]
-        if nseg:
-            pts += [c + complex(-t, 0.0) for t in np.linspace(0.0, 1.0, nseg)]
-        return pts
-    if kind == "log_strip":
-        c = D.params[0]
-        nwall = (n + 2) // 3
-        nray = (n - nwall) // 2
-        pts = [c * complex(0.0, y) for y in np.linspace(-math.pi, math.pi, nwall)]
-        ray = _geometric_ray(max(nray, 1), SLIT_TRUNCATION_RADIUS)
-        pts += [c * complex(-t, math.pi) for t in ray]
-        pts += [c * complex(-t, -math.pi) for t in ray]
-        return pts[:n] if len(pts) > n else pts
-    if kind == "image":
-        f, base = D.payload
-        return _mapped_boundary(f, base, n).tolist()
-    raise ValueError(f"unknown domain kind {kind!r}")
+def no_image_error(f) -> NoDensityRouteError:
+    return NoDensityRouteError(
+        f"no catalog image domain for {f.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +274,6 @@ def boundary_samples(D: Domain, n: int) -> list[complex]:
 
 def simply_connected(D: Domain) -> bool:
     return D.kind != "punctured_disk"
-
-
-def has_closed_form_delta(D: Domain) -> bool:
-    return D.kind != "image"
 
 
 def bounding_box(D: Domain):

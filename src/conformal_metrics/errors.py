@@ -24,10 +24,6 @@ class SingularPointError(ConformalMetricsError):
     """Map evaluation requested at a singular point of its formula."""
 
 
-class MembershipUndecidableError(ConformalMetricsError):
-    """Raw-point membership query against a sampled image domain."""
-
-
 class IncompatibleCompositionError(ConformalMetricsError):
     """Sampled image of the inner map leaves the outer map's base domain."""
 

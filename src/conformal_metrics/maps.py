@@ -314,19 +314,12 @@ def compose_maps(f: AnalyticMap, g: AnalyticMap,
 
 
 def _random_interior_point(D: Domain, rng: random.Random) -> complex:
+    """A random point of a map's base domain: the disk or a shifted slit
+    disk."""
+    shift = D.params[0] if D.kind == "slit_disk" else 0j
     for _ in range(10000):
         z = cmath.rect(math.sqrt(rng.random()) * 0.999,
-                       rng.uniform(-math.pi, math.pi))
-        if D.kind == "upper_half_plane":
-            z = complex(rng.uniform(-10, 10), rng.uniform(1e-3, 10))
-        elif D.kind == "koebe_slit_plane":
-            d = 1 - z
-            z = z / d ** 2
-        elif D.kind == "slit_disk":
-            z = z + D.params[0]
-        try:
-            if domains.contains(D, z):
-                return z
-        except Exception:
-            pass
+                       rng.uniform(-math.pi, math.pi)) + shift
+        if domains.contains(D, z):
+            return z
     raise RuntimeError(f"could not sample an interior point of {D}")

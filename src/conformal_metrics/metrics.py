@@ -1,6 +1,6 @@
-"""Distances: closed-form hyperbolic distance in the disk, pullback distance
-through conformal maps, Gauss-Legendre line quadrature of densities, and a
-two-stage (grid Dijkstra + local relaxation) quasihyperbolic geodesic solver.
+"""Distances: closed-form hyperbolic distance in the disk, Gauss-Legendre
+line quadrature of densities, and a two-stage (grid Dijkstra + local
+relaxation) quasihyperbolic geodesic solver.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "SolverConfig",
     "path_quadrature",
     "hyperbolic_distance_disk",
-    "hyperbolic_distance_via_map",
     "quasihyperbolic_distance",
     "quasihyperbolic_distance_detailed",
 ]
@@ -134,18 +133,6 @@ def hyperbolic_distance_disk(z1: complex, z2: complex) -> float:
     if abs(z1) >= 1 or abs(z2) >= 1:
         raise OutsideDomainError("hyperbolic_distance_disk needs |z| < 1")
     return math.atanh(abs(z1 - z2) / abs(1 - z1.conjugate() * z2))
-
-
-def hyperbolic_distance_via_map(f, w1_pre: complex, w2_pre: complex) -> float:
-    """Hyperbolic distance between f(w1_pre) and f(w2_pre) in f(D), by
-    conformal invariance.  f must be univalent on the unit disk."""
-    from .errors import MapNotUnivalentError
-
-    if not f.univalent:
-        raise MapNotUnivalentError("pullback distance needs a univalent map")
-    if f.base_domain.kind != "unit_disk":
-        raise ValueError("pullback distance is defined for disk-based maps")
-    return hyperbolic_distance_disk(w1_pre, w2_pre)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +323,6 @@ def quasihyperbolic_distance_detailed(D: Domain, z1: complex, z2: complex,
     relaxation objective history (non-increasing)."""
     cfg = cfg or SolverConfig()
     z1, z2 = complex(z1), complex(z2)
-    if not domains.has_closed_form_delta(D):
-        raise ValueError("solver requires a closed-form boundary distance")
     for z in (z1, z2):
         if not domains.contains(D, z):
             raise OutsideDomainError(f"{z} is not interior to {D}")

@@ -38,14 +38,11 @@ __all__ = [
     "check_composition_laws",
     "check_covering_identity",
     "estimate_uniformity_constant",
-    "lambda_lower_violation_witness",
-    "random_map_pair",
     "BOUND_KINDS",
 ]
 
-# Default violation tolerances, split by how delta of the image is computed.
+# Default violation tolerance; delta of the image is always closed form.
 RTOL_CLOSED_FORM = 1e-9
-RTOL_SAMPLED = 2e-2
 
 
 @dataclass(frozen=True)
@@ -189,14 +186,13 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # pointwise quantities
 
-def distortion_ratio(f: AnalyticMap, D: Domain, z: complex,
-                     n_boundary: int = 4096) -> float:
+def distortion_ratio(f: AnalyticMap, D: Domain, z: complex) -> float:
     """|f'(z)| / delta_{f(D)}(f(z)), the quantity all the sharp bounds
     control."""
     j = f.jet(z)
     if j.f1 == 0:
         raise _critical_point(z)
-    return abs(j.f1) / domains.image_boundary_distance(f, D, z, n_boundary)
+    return abs(j.f1) / domains.image_boundary_distance(f, D, z)
 
 
 def _critical_point(z) -> SingularPointError:
@@ -223,7 +219,7 @@ BOUND_KINDS = (
 _NEEDS_SIMPLY_CONNECTED = {"thm21", "koebe_distortion", "lehto_S", "osgood_T"}
 _NEEDS_MAP = set(BOUND_KINDS) - {"lambda_delta"}
 _NEEDS_LAMBDA = {"thm21", "thm41", "cor43", "lambda_delta", "osgood_T",
-                 "lehto_S"}
+                 "lehto_S", "koebe_distortion"}
 _NEEDS_DELTA = {"lemma31", "lambda_delta", "osgood_T_delta", "gehring_S"}
 
 # errors that skip a sample; any other error at a sample aborts the check
@@ -257,8 +253,7 @@ def _bound_window(kind: str, Q: float | None) -> tuple[float, float]:
 def check_pointwise_bounds(f: AnalyticMap | None, D: Domain,
                            samples: SampleSet, kind: str,
                            Q: float | None = None,
-                           n_boundary: int = 4096,
-                           rtol: float | None = None,
+                           rtol: float = RTOL_CLOSED_FORM,
                            constants_override: dict | None = None) -> BoundReport:
     """Evaluate one named inequality at every sample; see BOUND_KINDS.
 
@@ -275,16 +270,9 @@ def check_pointwise_bounds(f: AnalyticMap | None, D: Domain,
     if kind in _NEEDS_SIMPLY_CONNECTED and f is not None and not f.univalent:
         raise ValueError(f"kind/domain mismatch: {kind} needs a univalent map")
 
-    closed_form = kind in ("lambda_delta", "osgood_T", "osgood_T_delta",
-                           "lehto_S", "gehring_S") or (
-        f is not None and f.image_domain is not None
-        and domains.has_closed_form_delta(f.image_domain)
-    )
-    if rtol is None:
-        rtol = RTOL_CLOSED_FORM if closed_form else RTOL_SAMPLED
     lo, hi = _bound_window(kind, Q)
     constants = {"lower": lo, "upper": hi, "rtol": rtol,
-                 "delta_route": "closed_form" if closed_form else "sampled"}
+                 "delta_route": "closed_form"}
     if Q is not None:
         constants["Q"] = Q
     if constants_override:
@@ -294,7 +282,7 @@ def check_pointwise_bounds(f: AnalyticMap | None, D: Domain,
     z = samples.points(D)
     faults = Faults(z.shape)
     with np.errstate(all="ignore"):
-        v, t = _evaluate(f, D, z, kind, n_boundary, faults)
+        v, t = _evaluate(f, D, z, kind, faults)
     checks = [(v < lo - rtol, v, lo), (v > hi + rtol, v, hi)]
     if t is not None:
         checks.append((t > 8.0 + rtol, t, 8.0))
@@ -329,7 +317,7 @@ def _report(kind, constants, z, v, faults, checks,
                        violations, skipped)
 
 
-def _evaluate(f, D, z, kind, n_boundary, faults):
+def _evaluate(f, D, z, kind, faults):
     """(value, T) of a bound kind at every sample; T is |f''/f'|/lambda for
     cor43 and None otherwise.  Checks are flagged in `faults` in the order
     the scalar API makes them, so each sample keeps the error a per-sample
@@ -340,21 +328,17 @@ def _evaluate(f, D, z, kind, n_boundary, faults):
         delta = domains.checked_delta(D, z, faults)
     if kind == "lambda_delta":
         return lam * delta, None
-    if kind in ("thm21", "thm41", "cor43", "lemma31"):
-        jet = maps.checked_jet(f, z, faults)
+    jet = maps.checked_jet(f, z, faults)
+    if kind in ("thm21", "thm41", "cor43", "lemma31", "koebe_distortion"):
         faults.flag(jet.f1 == 0, lambda i: _critical_point(complex(z[i])))
-        ratio = np.abs(jet.f1) / _image_delta(f, D, z, jet, n_boundary,
-                                              faults)
+        d_image = _image_delta(f, D, z, jet, faults)
+        if kind == "koebe_distortion":
+            return d_image * lam / np.abs(jet.f1), None
+        ratio = np.abs(jet.f1) / d_image
         if kind == "lemma31":
             return ratio * delta, None
         t = np.abs(pre_schwarzian(jet)) / lam if kind == "cor43" else None
         return ratio / lam, t
-    jet = maps.checked_jet(f, z, faults)
-    if kind == "koebe_distortion":
-        d_image = _image_delta(f, D, z, jet, n_boundary, faults)
-        den = (1.0 - np.abs(z) ** 2) * np.abs(jet.f1)
-        faults.flag(den == 0, ZeroDivisionError("float division by zero"))
-        return d_image / den, None
     if kind in ("osgood_T", "osgood_T_delta"):
         faults.flag(jet.f1 == 0,
                     NotLocallyUnivalentError(jets.PRE_SCHWARZIAN_UNDEFINED))
@@ -366,22 +350,15 @@ def _evaluate(f, D, z, kind, n_boundary, faults):
     return (size / lam ** 2 if kind == "lehto_S" else size * delta ** 2), None
 
 
-def _image_delta(f, D, z, jet, n_boundary, faults):
+def _image_delta(f, D, z, jet, faults):
     """domains.image_boundary_distance at every sample, given the jets."""
     if not f.univalent:
         faults.flag(True, MapNotUnivalentError(f"{f.kind} is not univalent"))
+    if f.image_domain is None:
+        faults.flag(True, domains.no_image_error(f))
+        return np.full(z.shape, np.nan)
     domains.require_inside(D, z, faults)
-    if f.image_domain is not None:
-        return domains.checked_delta(f.image_domain, jet.f0, faults)
-    # sampled image: one boundary scan per sample
-    d = np.full(z.shape, np.nan)
-    for i in np.flatnonzero(faults.clean):
-        try:
-            d[i] = domains.image_boundary_distance(f, D, complex(z[i]),
-                                                   n_boundary)
-        except (ConformalMetricsError, ArithmeticError, ValueError) as exc:
-            faults.flag(np.arange(z.size) == i, exc)
-    return d
+    return domains.checked_delta(f.image_domain, jet.f0, faults)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +368,7 @@ def check_distance_comparison(f: AnalyticMap, pre_pairs,
                               cfg: metrics.SolverConfig | None = None) -> BoundReport:
     """k_{f(D)}(f(z1), f(z2)) / h_D(z1, z2) against the window [1, 4]."""
     cfg = cfg or metrics.SolverConfig()
-    if f.image_domain is None or not domains.has_closed_form_delta(f.image_domain):
+    if f.image_domain is None:
         raise ValueError("distance comparison needs a closed-form image domain")
     lo_slack = 1e-3 + 4 * cfg.tolerance
     hi_slack = 1e-2 + 4 * cfg.tolerance
@@ -540,39 +517,3 @@ def estimate_uniformity_constant(D: Domain, samples: SampleSet) -> float:
     if faults.errors:
         raise faults.errors[min(faults.errors)]
     return float(np.max(q, where=q > 0.0, initial=0.0))
-
-
-def lambda_lower_violation_witness(c: float) -> complex:
-    """A point of the punctured disk where lambda < c/delta fails, for any
-    fixed c > 0: any |z| < e^{-4/c} works; return e^{-4/c - 1}."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return complex(math.exp(-4.0 / c - 1.0), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# random catalog pairs for the transformation-law sweep
-
-def random_map_pair(rng: random.Random):
-    """(f, g) with g a disk automorphism (or identity) and f any disk-based
-    catalog map, so f o g is always well formed."""
-    def rand_mobius():
-        a = cmath.rect(math.sqrt(rng.random()) * 0.9,
-                       rng.uniform(-math.pi, math.pi))
-        return maps.mobius_map(a, rng.uniform(-math.pi, math.pi))
-
-    g = rand_mobius() if rng.random() < 0.8 else maps.identity_map()
-    pick = rng.randrange(6)
-    if pick == 0:
-        f = maps.identity_map()
-    elif pick == 1:
-        f = maps.koebe_map()
-    elif pick == 2:
-        f = rand_mobius()
-    elif pick == 3:
-        f = maps.cayley_map()
-    elif pick == 4:
-        f = maps.power_map(rng.randrange(2, 5))
-    else:
-        f = maps.punctured_disk_covering_map()
-    return f, g

@@ -47,7 +47,7 @@ from conformal_metrics import (
 )
 from conformal_metrics.cli import main as cli_main
 from conformal_metrics.metrics import Polyline
-from conformal_metrics.verify import lambda_lower_violation_witness, random_map_pair
+from helpers import lambda_lower_violation_witness, random_map_pair
 
 import numpy as np
 

@@ -31,12 +31,9 @@ def test_parse_domain_spec():
     assert parse_domain_spec("uhp").kind == "upper_half_plane"
     assert parse_domain_spec("koebe-slit").kind == "koebe_slit_plane"
     assert parse_domain_spec("slit-disk").kind == "slit_disk"
-    img = parse_domain_spec("image:mobius:0.3,0:disk:256")
-    assert img.kind == "image"
-    with pytest.raises(ValueError):
-        parse_domain_spec("banana")
-    with pytest.raises(ValueError):
-        parse_domain_spec("image:koebe")
+    for spec in ("banana", "image:koebe", "image:mobius:0.3,0:disk:256"):
+        with pytest.raises(ValueError):
+            parse_domain_spec(spec)
 
 
 def test_density_subcommand(capsys):
@@ -158,6 +155,19 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "density", "--domain", "disk", "--at", "5")
     assert code == 2 and "error:" in err
+
+
+def test_boundary_samples_option_is_rejected(capsys):
+    for argv in (["ratio", "--map", "koebe", "--domain", "disk", "--at", "0"],
+                 ["verify", "--kind", "thm21", "--map", "koebe",
+                  "--domain", "disk"],
+                 ["sweep", "--quantity", "ratio", "--map", "koebe",
+                  "--domain", "disk", "--from", "0", "--to", "0.5",
+                  "--steps", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--boundary-samples", "256"])
+        assert exc.value.code == 2
+        assert "--boundary-samples" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conformal_metrics import (
-    MembershipUndecidableError,
     NoDensityRouteError,
     OutsideDomainError,
     boundary_distance,
     cayley_map,
+    compose_maps,
     contains,
     hyperbolic_density,
+    identity_map,
     image_boundary_distance,
-    image_domain,
     koebe_map,
     koebe_slit_plane,
     log_strip,
-    mobius_map,
     punctured_disk,
     pushforward_density,
     slit_disk,
@@ -99,9 +98,15 @@ def test_pushforward_density_matches_closed_form():
 
 
 def test_density_route_missing():
-    D = image_domain(mobius_map(0.3), unit_disk(), 128)
     with pytest.raises(NoDensityRouteError):
-        hyperbolic_density(D, 0.1)
+        hyperbolic_density(log_strip(1), -1 + 0j)
+
+
+def test_koebe_slit_density_near_the_slit():
+    # locally a half-plane: lambda = 1/(2 delta) = 1/(2 Im z) to first order
+    for z in (-3 + 1e-15j, -1e4 + 1e-9j):
+        assert hyperbolic_density(koebe_slit_plane(), z) == pytest.approx(
+            1.0 / (2.0 * z.imag), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +126,6 @@ def test_contains_basic():
     assert not contains(slit_disk(0), -0.5)
     assert contains(log_strip(1), -1 + 0j)
     assert not contains(log_strip(1), 1 + 0j)
-
-
-def test_image_domain_membership_undecidable():
-    D = image_domain(mobius_map(0.3), unit_disk(), 128)
-    with pytest.raises(MembershipUndecidableError):
-        contains(D, 0.0)
 
 
 def test_boundary_distance_disk_and_pdisk():
@@ -174,13 +173,12 @@ def test_image_boundary_distance_closed_form_route():
     assert image_boundary_distance(f, unit_disk(), z) == pytest.approx(exact)
 
 
-def test_image_boundary_distance_sampled_route():
-    f = mobius_map(0.0)  # identity-like rotation of the disk
-    D = image_domain(f, unit_disk(), 4096)
-    z = 0.6
-    sampled = image_boundary_distance(f, unit_disk(), z, 4096)
-    assert sampled == pytest.approx(0.4, rel=2e-2)
-    assert boundary_distance(D, f.value(z)) == pytest.approx(sampled, rel=1e-6)
+def test_image_boundary_distance_without_catalog_image():
+    # univalent, but the Koebe image is not the identity's base domain
+    f = compose_maps(identity_map(), koebe_map())
+    assert f.univalent and f.image_domain is None
+    with pytest.raises(NoDensityRouteError, match="no catalog image domain"):
+        image_boundary_distance(f, unit_disk(), 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,15 @@ import numpy as np
 import pytest
 
 from conformal_metrics import (
-    MapNotUnivalentError,
     NoGridPathError,
     OutsideDomainError,
     Polyline,
     SolverConfig,
     hyperbolic_distance_disk,
-    hyperbolic_distance_via_map,
-    koebe_map,
     koebe_slit_plane,
     mobius_map,
     path_quadrature,
     punctured_disk,
-    punctured_disk_covering_map,
     quasihyperbolic_distance,
     quasihyperbolic_distance_detailed,
     unit_disk,
@@ -49,14 +45,6 @@ def test_hyperbolic_distance_mobius_invariance():
     assert hyperbolic_distance_disk(m.value(z1), m.value(z2)) == pytest.approx(
         hyperbolic_distance_disk(z1, z2), rel=1e-12
     )
-
-
-def test_hyperbolic_distance_via_map_guards():
-    assert hyperbolic_distance_via_map(koebe_map(), 0, 0.5) == pytest.approx(
-        hyperbolic_distance_disk(0, 0.5)
-    )
-    with pytest.raises(MapNotUnivalentError):
-        hyperbolic_distance_via_map(punctured_disk_covering_map(), 0, 0.5)
 
 
 def test_quadrature_radial_quasihyperbolic():
@@ -133,13 +121,6 @@ def test_solver_triangle_inequality():
 def test_solver_rejects_outside_endpoint():
     with pytest.raises(OutsideDomainError):
         quasihyperbolic_distance(unit_disk(), 0, 1.5)
-
-
-def test_solver_rejects_sampled_domains():
-    from conformal_metrics import image_domain
-    D = image_domain(mobius_map(0.3), unit_disk(), 256)
-    with pytest.raises(ValueError):
-        quasihyperbolic_distance(D, 0, 0.1)
 
 
 def test_solver_config_validation():

@@ -26,7 +26,6 @@ from conformal_metrics import (
     estimate_uniformity_constant,
     hyperbolic_density,
     identity_map,
-    image_boundary_distance,
     koebe_map,
     koebe_slit_plane,
     log_slit_map,
@@ -41,10 +40,7 @@ from conformal_metrics import (
     unit_disk,
     upper_half_plane,
 )
-from conformal_metrics.verify import (
-    lambda_lower_violation_witness,
-    random_map_pair,
-)
+from helpers import lambda_lower_violation_witness, random_map_pair
 
 
 S = SampleSet(seed=7, count=400)
@@ -174,6 +170,15 @@ def test_koebe_distortion_window():
                                  "koebe_distortion")
     assert rep.passed
     assert 0.25 - 1e-9 <= rep.min_ratio and rep.max_ratio <= 1 + 1e-9
+
+
+def test_koebe_distortion_uses_the_domain_density():
+    # delta_image * lambda_D / |f'| with lambda of the slit disk itself
+    rep = check_pointwise_bounds(log_slit_map(0.5, 1), slit_disk(0.5),
+                                 SampleSet(seed=0, count=2000),
+                                 "koebe_distortion")
+    assert rep.passed, rep.violations[:2]
+    assert 0.25 <= rep.min_ratio and rep.max_ratio <= 1.0
 
 
 def test_osgood_and_lehto_windows():
@@ -398,11 +403,11 @@ class PickedSamples(SampleSet):
 
 
 _LAMBDA_KINDS = {"thm21", "thm41", "cor43", "lambda_delta", "osgood_T",
-                 "lehto_S"}
+                 "lehto_S", "koebe_distortion"}
 _DELTA_KINDS = {"lemma31", "lambda_delta", "osgood_T_delta", "gehring_S"}
 
 
-def _reference_check(f, D, samples, kind, n_boundary=4096):
+def _reference_check(f, D, samples, kind):
     """check_pointwise_bounds as one scalar evaluation per sample: the
     values as (v, z), the skipped samples and the cor43 T values."""
     values, skipped, t_values = [], [], []
@@ -415,16 +420,14 @@ def _reference_check(f, D, samples, kind, n_boundary=4096):
             if kind == "lambda_delta":
                 v = lam * delta
             elif kind in ("thm21", "thm41", "cor43"):
-                v = distortion_ratio(f, D, z, n_boundary) / lam
+                v = distortion_ratio(f, D, z) / lam
                 if kind == "cor43":
                     t_values.append(
                         (abs(pre_schwarzian(f.jet(z))) / lam, z))
             elif kind == "lemma31":
-                v = distortion_ratio(f, D, z, n_boundary) * delta
+                v = distortion_ratio(f, D, z) * delta
             elif kind == "koebe_distortion":
-                j = f.jet(z)
-                v = image_boundary_distance(f, D, z, n_boundary) / (
-                    (1.0 - abs(z) ** 2) * abs(j.f1))
+                v = lam / distortion_ratio(f, D, z)
             elif kind == "osgood_T":
                 v = abs(pre_schwarzian(f.jet(z))) / lam
             elif kind == "osgood_T_delta":
@@ -495,9 +498,9 @@ PARITY_CASES = [
      (_ON_CIRCLE, _KOEBE_TO_TIP), {}),
     # a negative rtol turns samples of all three kinds into violations
     ("cor43", koebe_map(), unit_disk(), "uniform_disk", (), {"rtol": -3.0}),
-    # image unknown: delta from mapped boundary samples, one scan per sample
-    ("thm21", replace(_MOBIUS, image_domain=None), unit_disk(),
-     "uniform_disk", (_ON_CIRCLE,), {"n_boundary": 256}),
+    # lambda of the shifted slit disk, not of the unit disk, at |z| = 1
+    ("koebe_distortion", log_slit_map(0.3, 1), slit_disk(0.3),
+     "uniform_disk", (1.0,), {}),
 ]
 
 # cases where a per-sample loop raises instead of skipping
@@ -508,9 +511,9 @@ ABORT_CASES = [
     # not univalent, with a closed-form image
     ("thm41", punctured_disk_covering_map(), unit_disk(), "uniform_disk", (),
      {"Q": 2.0}),
-    # 1 - |z|^2 = 0 inside the shifted slit disk
-    ("koebe_distortion", log_slit_map(0.3, 1), slit_disk(0.3),
-     "uniform_disk", (1.0,), {}),
+    # univalent, with no catalog image: no route to delta of the image
+    ("thm21", replace(_MOBIUS, image_domain=None), unit_disk(),
+     "uniform_disk", (), {}),
     # the only sample has f'(z) = 0
     ("thm41", power_map(2), unit_disk(), None, (0j,), {"Q": 2.0}),
 ]
@@ -523,8 +526,7 @@ def _run_parity(case):
                             picked=picked)
     rep = _outcome(lambda: check_pointwise_bounds(f, D, samples, kind,
                                                   **kwargs))
-    ref = _outcome(lambda: _reference_check(
-        f, D, samples, kind, kwargs.get("n_boundary", 4096)))
+    ref = _outcome(lambda: _reference_check(f, D, samples, kind))
     return rep, ref
 
 
