@@ -1,9 +1,9 @@
 """Hyperbolic and quasihyperbolic metrics on planar hyperbolic regions.
 
-Exact order-3 jet arithmetic for analytic maps, closed-form and pullback
-hyperbolic densities, quasihyperbolic geodesics via graph search plus path
-relaxation, and sampling-based verification of the sharp distortion bounds
-linking density, boundary distance and the (pre-)Schwarzian.
+Exact order-3 jet arithmetic for analytic maps, hyperbolic densities and
+distances pulled back from the half-plane, quasihyperbolic geodesics via
+graph search plus path relaxation, and sampling-based verification of the
+sharp distortion bounds linking density, delta and the (pre-)Schwarzian.
 """
 
 from .domains import (
@@ -48,7 +48,7 @@ from .maps import (
 from .metrics import (
     Polyline,
     SolverConfig,
-    hyperbolic_distance_disk,
+    hyperbolic_distance,
     path_quadrature,
     quasihyperbolic_distance,
     quasihyperbolic_distance_detailed,

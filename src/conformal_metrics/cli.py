@@ -108,11 +108,7 @@ def _cmd_distance(args) -> int:
     D = parse_domain_spec(args.domain)
     z1, z2 = parse_complex(getattr(args, "from")), parse_complex(args.to)
     if args.metric == "hyp":
-        if D.kind != "unit_disk":
-            raise ValueError("hyperbolic distance is closed form on the disk "
-                             "only; use conformal pullback for other domains")
-        d = metrics.hyperbolic_distance_disk(z1, z2)
-        _emit(f"{d:.9f}\n", args.out)
+        _emit(f"{metrics.hyperbolic_distance(D, z1, z2):.9f}\n", args.out)
         return 0
     cfg = _solver_config(args)
     d, geo = metrics.quasihyperbolic_distance(D, z1, z2, cfg)

@@ -2,15 +2,15 @@
 
 Each domain answers membership, Euclidean boundary distance and hyperbolic
 density (curvature -4 normalization throughout: lambda_disk(z) = 1/(1-|z|^2)).
-Densities of the two slit domains are obtained by pulling back the density of
-a model domain through explicit conformal maps; everything else is closed
-form.
+Membership and distance are closed forms; every density is the upper
+half-plane density pulled back through the domain's uniformizer psi.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -88,103 +88,148 @@ def log_strip(c: complex = 1 + 0j) -> Domain:
 
 
 # ---------------------------------------------------------------------------
-# array kernels: membership, boundary distance and density
+# one table entry per domain kind
 #
-# These are the only implementations of the three quantities.  They take
-# complex arrays and do no membership check: the geodesic solver calls them in
-# its inner loop on points it knows to be interior.  The checked_* functions
-# add the checks of the scalar API, recording per point what it would raise.
+# Entry functions take a complex array z and then the domain's params; psi
+# maps D onto the upper half-plane and comes with its derivative.  The
+# kernels do no membership check, for the solver's inner loop; the checked_*
+# functions add those of the scalar API, recording what each point raises.
+
+@dataclass(frozen=True)
+class Kind:
+    contains: Callable
+    delta: Callable
+    psi: Callable                    # (psi, psi')
+    bbox: Callable = lambda *params: None
+    simply_connected: bool = True
+    sample_map: str | None = None    # catalog map carrying disk samples onto D
+    centre: Callable | None = None   # or the shift of disk samples into D
+
+
+_UNIT_BOX = (-1.0, 1.0, -1.0, 1.0)
+
+
+def _cayley(z):
+    # i(1+z)/(1-z) = (-2y + i(1-|z|^2)) / |1-z|^2: Im psi carries the
+    # 1 - |z|^2 of the disk density
+    d = 1 - z
+    q = np.abs(d) ** 2
+    return -2.0 * z.imag / q + 1j * ((1.0 - np.abs(z) ** 2) / q), 2j / d ** 2
+
+
+def _pdisk_delta(z):
+    r = np.abs(z)
+    return np.minimum(r, 1.0 - r)
+
+
+def _koebe_psi(z):
+    s = np.sqrt(4 * z + 1)
+    return 1j * s, 2j / s
+
+
+def _slit_disk_contains(z, c):
+    u = z - c
+    return (np.abs(u) < 1.0) & ~((u.imag == 0.0) & (u.real <= 0.0))
+
+
+def _slit_disk_delta(z, c):
+    u = z - c
+    t = np.clip(-u.real, 0.0, 1.0)
+    seg = np.abs(u + t)
+    return np.minimum(1.0 - np.abs(u), seg)
+
+
+def _slit_disk_psi(z, c):
+    # r = sqrt(u) maps the slit disk onto the right half disk, and
+    # (1/r - r)/2 maps that onto the right half-plane
+    u = z - c
+    r = np.sqrt(u)
+    return 0.5j * (1 / r - r), -0.25j * (1 + 1 / u) / r
+
+
+def _log_strip_contains(z, c):
+    u = z / c
+    return (u.real < 0.0) & (np.abs(u.imag) < math.pi)
+
+
+def _log_strip_delta(z, c):
+    u = z / c
+    return np.abs(c) * np.minimum(
+        -u.real, np.minimum(math.pi - u.imag, math.pi + u.imag)
+    )
+
+
+def _log_strip_psi(z, c):
+    # exp(w) maps the strip onto the slit disk, whose psi at r = exp(w/2)
+    # is -i sinh(w/2)
+    w = z / c
+    return -1j * np.sinh(w / 2), -0.5j * np.cosh(w / 2) / c
+
+
+_KINDS = {
+    "unit_disk": Kind(
+        contains=lambda z: np.abs(z) < 1.0,
+        delta=lambda z: 1.0 - np.abs(z),
+        psi=_cayley,
+        bbox=lambda: _UNIT_BOX, sample_map="identity",
+    ),
+    "punctured_disk": Kind(
+        contains=lambda z: (np.abs(z) < 1.0) & (z != 0),
+        delta=_pdisk_delta,
+        psi=lambda z: (-1j * np.log(z), -1j / z),  # local branches only
+        bbox=lambda: _UNIT_BOX, simply_connected=False, sample_map="identity",
+    ),
+    "upper_half_plane": Kind(
+        contains=lambda z: z.imag > 0.0,
+        delta=lambda z: z.imag.copy() if np.iscomplexobj(z) else np.imag(z),
+        psi=lambda z: (z, np.ones_like(z)), sample_map="cayley",
+    ),
+    "koebe_slit_plane": Kind(
+        contains=lambda z: ~((z.imag == 0.0) & (z.real <= -0.25)),
+        delta=lambda z: np.where(z.real >= -0.25, np.abs(z + 0.25),
+                                 np.abs(z.imag)),
+        psi=_koebe_psi, sample_map="koebe",
+    ),
+    "slit_disk": Kind(
+        _slit_disk_contains, _slit_disk_delta, _slit_disk_psi,
+        bbox=lambda c: (c.real - 1.0, c.real + 1.0, c.imag - 1.0, c.imag + 1.0),
+        centre=lambda c: c,
+    ),
+    "log_strip": Kind(_log_strip_contains, _log_strip_delta, _log_strip_psi),
+}
+
+
+def entry(D: Domain) -> Kind:
+    """The table entry of D's kind."""
+    if D.kind not in _KINDS:
+        raise ValueError(f"unknown domain kind {D.kind!r}")
+    return _KINDS[D.kind]
+
 
 def contains_vec(D: Domain, z: np.ndarray) -> np.ndarray:
-    kind = D.kind
-    if kind == "unit_disk":
-        return np.abs(z) < 1.0
-    if kind == "punctured_disk":
-        return (np.abs(z) < 1.0) & (z != 0)
-    if kind == "upper_half_plane":
-        return z.imag > 0.0
-    if kind == "koebe_slit_plane":
-        return ~((z.imag == 0.0) & (z.real <= -0.25))
-    if kind == "slit_disk":
-        u = z - D.params[0]
-        return (np.abs(u) < 1.0) & ~((u.imag == 0.0) & (u.real <= 0.0))
-    if kind == "log_strip":
-        u = z / D.params[0]
-        return (u.real < 0.0) & (np.abs(u.imag) < math.pi)
-    raise ValueError(f"unknown domain kind {kind!r}")
+    return entry(D).contains(z, *D.params)
 
 
 def delta_vec(D: Domain, z: np.ndarray) -> np.ndarray:
     """Boundary distance of interior points (closed forms)."""
-    kind = D.kind
-    if kind == "unit_disk":
-        return 1.0 - np.abs(z)
-    if kind == "punctured_disk":
-        r = np.abs(z)
-        return np.minimum(r, 1.0 - r)
-    if kind == "upper_half_plane":
-        return z.imag.copy() if np.iscomplexobj(z) else np.imag(z)
-    if kind == "koebe_slit_plane":
-        return np.where(z.real >= -0.25, np.abs(z + 0.25), np.abs(z.imag))
-    if kind == "slit_disk":
-        u = z - D.params[0]
-        t = np.clip(-u.real, 0.0, 1.0)
-        seg = np.abs(u + t)
-        return np.minimum(1.0 - np.abs(u), seg)
-    if kind == "log_strip":
-        c = D.params[0]
-        u = z / c
-        return np.abs(c) * np.minimum(
-            -u.real, np.minimum(math.pi - u.imag, math.pi + u.imag)
-        )
-    raise ValueError(f"unknown domain kind {kind!r}")
-
-
-def _slit_disk_preimage(u: np.ndarray):
-    """Conformal map of the slit disk onto the disk, with derivative.
-
-    Chain: u -> s = sqrt(-u) (branch arg in (0, 2pi)) onto the upper half
-    disk, s -> t = -(s + 1/s)/2 onto the upper half plane, t -> (t-i)/(t+i)
-    onto the disk.  Returns (value, derivative).
-    """
-    v = -u
-    th = np.angle(v)
-    th = np.where(th <= 0.0, th + 2 * math.pi, th)
-    s = np.exp(0.5 * (np.log(np.abs(v)) + 1j * th))
-    t = -(s + 1 / s) / 2
-    zeta = (t - 1j) / (t + 1j)
-    ds = -1 / (2 * s)
-    dt = -(1 - 1 / (s * s)) / 2
-    dzeta = 2j / (t + 1j) ** 2
-    return zeta, dzeta * dt * ds
+    return entry(D).delta(z, *D.params)
 
 
 def density_vec(D: Domain, z: np.ndarray) -> np.ndarray:
-    """Hyperbolic density of interior points, curvature -4 normalization.
+    """Hyperbolic density of interior points, curvature -4 normalization:
+    the half-plane density 1/(2 Im w) pulled back, |psi'| / (2 Im psi)."""
+    with np.errstate(all="ignore"):
+        w, dw = entry(D).psi(z, *D.params)
+        return np.abs(dw) / (2.0 * w.imag)
 
-    The Koebe slit plane pulls back the right half-plane density
-    1/(2 Re s) through s = sqrt(4z + 1); the slit disk pulls back the disk
-    density through its uniformizing map, and gives nan where the preimage
-    of a point rounds onto the unit circle.
-    """
-    kind = D.kind
-    if kind == "unit_disk":
-        return 1.0 / (1.0 - np.abs(z) ** 2)
-    if kind == "punctured_disk":
-        r = np.abs(z)
-        return 1.0 / (2.0 * r * np.log(1.0 / r))
-    if kind == "upper_half_plane":
-        return 1.0 / (2.0 * z.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "koebe_slit_plane":
-            # lambda_H(s) |ds/dz| with lambda_H(s) = 1/(2 Re s), ds/dz = 2/s
-            s = np.sqrt(4 * z + 1)
-            return 1.0 / (np.abs(s) * s.real)
-        if kind == "slit_disk":
-            zeta, dphi = _slit_disk_preimage(z - D.params[0])
-            den = 1.0 - np.abs(zeta) ** 2
-            return np.where(den > 0.0, np.abs(dphi) / den, np.nan)
-    raise NoDensityRouteError(f"no conformal route to the disk for {D}")
+
+def simply_connected(D: Domain) -> bool:
+    return entry(D).simply_connected
+
+
+def bounding_box(D: Domain):
+    """(xmin, xmax, ymin, ymax) for bounded catalog domains, else None."""
+    return entry(D).bbox(*D.params)
 
 
 def outside_error(D: Domain, z: complex) -> OutsideDomainError:
@@ -202,19 +247,21 @@ def checked_delta(D: Domain, z: np.ndarray, faults: Faults) -> np.ndarray:
     return delta_vec(D, z)
 
 
+def checked_psi(D: Domain, z: np.ndarray, faults: Faults):
+    """(psi, psi'), flagging points outside D."""
+    require_inside(D, z, faults)
+    return entry(D).psi(z, *D.params)
+
+
 def checked_density(D: Domain, z: np.ndarray, faults: Faults) -> np.ndarray:
-    """density_vec, flagging points outside D and slit-disk points too close
-    to the slit for the density route."""
-    if D.kind == "log_strip":
-        # no conformal route back to the disk is stored for it
-        raise NoDensityRouteError(f"no conformal route to the disk for {D}")
+    """density_vec, flagging points outside D and points where the density
+    is not finite and positive: within a denormal of the boundary the true
+    density is beyond the float range."""
     require_inside(D, z, faults)
     lam = density_vec(D, z)
-    if D.kind == "slit_disk":
-        # interior per `contains`, but so close to the slit that the
-        # uniformizing preimage rounds onto the unit circle
-        faults.flag(np.isnan(lam), SingularPointError(
-            "point too close to the slit for the density route"))
+    faults.flag(~(lam > 0.0) | np.isinf(lam),
+                SingularPointError("hyperbolic density is not a finite "
+                                   "positive float here"))
     return lam
 
 
@@ -267,20 +314,3 @@ def image_boundary_distance(f, base: Domain, z: complex) -> float:
 def no_image_error(f) -> NoDensityRouteError:
     return NoDensityRouteError(
         f"no catalog image domain for {f.describe()}")
-
-
-# ---------------------------------------------------------------------------
-# structural queries
-
-def simply_connected(D: Domain) -> bool:
-    return D.kind != "punctured_disk"
-
-
-def bounding_box(D: Domain):
-    """(xmin, xmax, ymin, ymax) for bounded catalog domains, else None."""
-    if D.kind in ("unit_disk", "punctured_disk"):
-        return (-1.0, 1.0, -1.0, 1.0)
-    if D.kind == "slit_disk":
-        c = D.params[0]
-        return (c.real - 1.0, c.real + 1.0, c.imag - 1.0, c.imag + 1.0)
-    return None

@@ -10,8 +10,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,11 +60,6 @@ class AnalyticMap:
 
     def value(self, z: complex) -> complex:
         return eval_jet(self, z).f0
-
-    def value_unchecked(self, z: complex) -> complex:
-        """Evaluate the formula without membership checks (boundary
-        extension); raises on singular points."""
-        return complex(at_point(_jet_formula, self, z).f0[0])
 
     def describe(self) -> str:
         if self.kind == "composite":

@@ -1,12 +1,12 @@
-"""Distances: closed-form hyperbolic distance in the disk, Gauss-Legendre
-line quadrature of densities, and a two-stage (grid Dijkstra + local
-relaxation) quasihyperbolic geodesic solver.
+"""Distances: closed-form hyperbolic distance through each domain's
+uniformizer, Gauss-Legendre line quadrature of densities, and a two-stage
+(grid Dijkstra + local relaxation) quasihyperbolic geodesic solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -15,13 +15,14 @@ from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from . import domains
 from .domains import Domain
-from .errors import NoGridPathError, OutsideDomainError
+from .errors import (NoGridPathError, OutsideDomainError,
+                     SingularPointError, at_point)
 
 __all__ = [
     "Polyline",
     "SolverConfig",
     "path_quadrature",
-    "hyperbolic_distance_disk",
+    "hyperbolic_distance",
     "quasihyperbolic_distance",
     "quasihyperbolic_distance_detailed",
 ]
@@ -53,10 +54,6 @@ class Polyline:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.points, dtype=complex)
-
-    def length(self) -> float:
-        p = self.as_array()
-        return float(np.sum(np.abs(np.diff(p))))
 
 
 @dataclass(frozen=True)
@@ -127,12 +124,21 @@ def path_quadrature(density: str, D: Domain, path: Polyline,
 # ---------------------------------------------------------------------------
 # hyperbolic distances
 
-def hyperbolic_distance_disk(z1: complex, z2: complex) -> float:
-    """artanh(|z1-z2| / |1 - conj(z1) z2|): the curvature -4 closed form."""
-    z1, z2 = complex(z1), complex(z2)
-    if abs(z1) >= 1 or abs(z2) >= 1:
-        raise OutsideDomainError("hyperbolic_distance_disk needs |z| < 1")
-    return math.atanh(abs(z1 - z2) / abs(1 - z1.conjugate() * z2))
+def hyperbolic_distance(D: Domain, z1: complex, z2: complex) -> float:
+    """h_D(z1, z2) = asinh(|w1 - w2| / (2 sqrt(Im w1 Im w2))) with w = psi(z),
+    psi the uniformizer of D onto the upper half-plane: the curvature -4
+    closed form, on every simply connected domain."""
+    if not domains.simply_connected(D):
+        raise ValueError(f"hyperbolic distance needs a simply connected "
+                         f"domain, got {D}")
+    w1, w2 = (complex(at_point(domains.checked_psi, D, z)[0][0])
+              for z in (z1, z2))
+    h = math.asinh(abs(w1 - w2)
+                   / (2.0 * math.sqrt(w1.imag) * math.sqrt(w2.imag)))
+    if not math.isfinite(h):  # psi, or the ratio, beyond the float range
+        raise SingularPointError("hyperbolic distance is not a finite "
+                                 "float here")
+    return h
 
 
 # ---------------------------------------------------------------------------

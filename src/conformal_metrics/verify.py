@@ -99,29 +99,27 @@ class SampleSet:
 
     def points(self, D: Domain) -> np.ndarray:
         """Samples inside D, as a complex array: disk samples pushed through
-        the catalog map onto non-disk domains."""
+        the catalog map onto D, or shifted to D's centre, where those outside
+        D give way to uniform draws from random.Random(seed + 1)."""
         base = self._disk_array()
-        kind = D.kind
-        if kind in ("unit_disk", "punctured_disk"):
-            return base
-        if kind == "upper_half_plane":
-            return _map_values(maps.cayley_map(), base)
-        if kind == "koebe_slit_plane":
-            return _map_values(maps.koebe_map(), base)
-        if kind == "slit_disk":
-            # disk samples that land in D after the shift, then fresh
-            # uniform draws from random.Random(seed + 1) until count
-            c = D.params[0]
-            out = base + c
-            out = out[domains.contains_vec(D, out)]
-            rng = random.Random(self.seed + 1)
-            while len(out) < self.count:
-                u = _draws(rng, self.count - len(out))
-                z = _rect(np.sqrt(u[:, 0]), _uniform(-math.pi, math.pi,
-                                                     u[:, 1])) + c
-                out = np.concatenate([out, z[domains.contains_vec(D, z)]])
-            return out
-        raise ValueError(f"no sampling strategy for domain kind {kind!r}")
+        entry = domains.entry(D)
+        if entry.sample_map is not None:
+            f = maps.make_catalog_map(entry.sample_map)
+            with np.errstate(all="ignore"):
+                return maps.checked_jet(f, base, Faults(base.shape)).f0
+        if entry.centre is None:
+            raise ValueError(f"no sampling strategy for domain kind "
+                             f"{D.kind!r}")
+        c = entry.centre(*D.params)
+        out = base + c
+        out = out[domains.contains_vec(D, out)]
+        rng = random.Random(self.seed + 1)
+        while len(out) < self.count:
+            u = _draws(rng, self.count - len(out))
+            z = _rect(np.sqrt(u[:, 0]), _uniform(-math.pi, math.pi,
+                                                 u[:, 1])) + c
+            out = np.concatenate([out, z[domains.contains_vec(D, z)]])
+        return out
 
 
 def _draws(rng: random.Random, n: int) -> np.ndarray:
@@ -140,11 +138,6 @@ def _rect(r: np.ndarray, th: np.ndarray) -> np.ndarray:
     z.real = r * np.cos(th)
     z.imag = r * np.sin(th)
     return z
-
-
-def _map_values(f: AnalyticMap, z: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        return maps.checked_jet(f, z, Faults(z.shape)).f0
 
 
 @dataclass
@@ -374,7 +367,7 @@ def check_distance_comparison(f: AnalyticMap, pre_pairs,
     hi_slack = 1e-2 + 4 * cfg.tolerance
     values = []
     for z1, z2 in pre_pairs:
-        h = metrics.hyperbolic_distance_disk(z1, z2)
+        h = metrics.hyperbolic_distance(domains.unit_disk(), z1, z2)
         if h == 0.0:
             values.append((1.0, complex(z1)))  # coincident pair, by convention
             continue

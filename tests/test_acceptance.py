@@ -19,7 +19,6 @@ import time
 
 from conformal_metrics import (
     SampleSet,
-    SolverConfig,
     boundary_distance,
     cayley_map,
     check_composition_laws,
@@ -30,7 +29,7 @@ from conformal_metrics import (
     distortion_ratio,
     estimate_uniformity_constant,
     hyperbolic_density,
-    hyperbolic_distance_disk,
+    hyperbolic_distance,
     identity_map,
     koebe_map,
     koebe_slit_plane,
@@ -177,7 +176,7 @@ def test_criterion_10_geodesic_solver():
     ok = abs(v - math.log(2)) <= 1e-4
     ok &= all(a >= b - 1e-15 for a, b in zip(hist, hist[1:]))
     ok &= elapsed < 5.0
-    h = hyperbolic_distance_disk(0, 0.5)
+    h = hyperbolic_distance(unit_disk(), 0, 0.5)
     ok &= abs(h - 0.549306144) <= 1e-9
     radial = Polyline(np.linspace(0, 0.5, 65))
     hq = path_quadrature("hyperbolic", unit_disk(), radial)

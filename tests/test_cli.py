@@ -62,9 +62,23 @@ def test_distance_hyp(capsys):
     assert float(out) == pytest.approx(0.549306144, abs=1e-9)
 
 
-def test_distance_hyp_non_disk_is_usage_error(capsys):
-    code, _, err = run(capsys, "distance", "--domain", "uhp",
+def test_distance_hyp_near_the_circle(capsys):
+    code, out, _ = run(capsys, "distance", "--domain", "disk", "--metric",
+                       "hyp", "--from", "0.999999999", "--to", "-0.999999999")
+    assert code == 0
+    assert out == "21.416413045\n"
+
+
+def test_distance_hyp_half_plane(capsys):
+    code, out, _ = run(capsys, "distance", "--domain", "uhp",
                        "--metric", "hyp", "--from", "1,1", "--to", "1,2")
+    assert code == 0
+    assert float(out) == pytest.approx(math.log(2) / 2, abs=1e-9)
+
+
+def test_distance_hyp_non_disk_is_usage_error(capsys):
+    code, _, err = run(capsys, "distance", "--domain", "pdisk",
+                       "--metric", "hyp", "--from", "0.25", "--to", "0.5")
     assert code == 2
     assert "error:" in err
 

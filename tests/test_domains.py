@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 from conformal_metrics import (
     NoDensityRouteError,
     OutsideDomainError,
+    SampleSet,
     boundary_distance,
     cayley_map,
     compose_maps,
@@ -97,9 +100,14 @@ def test_pushforward_density_matches_closed_form():
     )
 
 
-def test_density_route_missing():
-    with pytest.raises(NoDensityRouteError):
-        hyperbolic_density(log_strip(1), -1 + 0j)
+@pytest.mark.parametrize("c", [1, 3.7 + 1.1j, -0.5j])
+def test_log_strip_density_pulls_back_to_slit_disk(c):
+    # c Log maps the slit disk onto log_strip(c): lambda is invariant
+    for u in SampleSet(seed=4, count=500).points(slit_disk(0)).tolist():
+        z = c * cmath.log(u)
+        lhs = hyperbolic_density(log_strip(c), z) * abs(c / u)
+        assert lhs == pytest.approx(hyperbolic_density(slit_disk(0), u),
+                                    rel=1e-10, abs=0)
 
 
 def test_koebe_slit_density_near_the_slit():
@@ -188,7 +196,7 @@ def test_vectorized_agree_with_scalar():
     rng = np.random.default_rng(3)
     z = (rng.uniform(-0.7, 0.7, 64) + 1j * rng.uniform(-0.7, 0.7, 64))
     for D in (unit_disk(), punctured_disk(), upper_half_plane(),
-              slit_disk(0), koebe_slit_plane()):
+              slit_disk(0), koebe_slit_plane(), log_strip(1)):
         mask = domains.contains_vec(D, z)
         zi = z[mask]
         dv = domains.delta_vec(D, zi)
@@ -201,3 +209,99 @@ def test_vectorized_agree_with_scalar():
             assert dv[k] == boundary_distance(D, complex(p))
             assert lv[k] == hyperbolic_density(D, complex(p))
         assert not any(contains(D, p) for p in z[~mask])
+
+
+# ---------------------------------------------------------------------------
+# densities against 60-digit references
+
+def _mp_density(D, z):
+    """lambda_D at the float point z with mpmath at 60 digits: textbook
+    closed forms, and for the slit disk and the log strip the disk density
+    pulled back through a chain of maps onto the disk."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        z = mp.mpc(z)
+        if D.kind == "unit_disk":
+            return 1 / (1 - abs(z) ** 2)
+        if D.kind == "punctured_disk":
+            return 1 / (2 * abs(z) * mp.log(1 / abs(z)))
+        if D.kind == "upper_half_plane":
+            return 1 / (2 * z.imag)
+        if D.kind == "koebe_slit_plane":
+            s = mp.sqrt(4 * z + 1)
+            return 1 / (abs(s) * s.real)
+        if D.kind == "slit_disk":
+            return _mp_slit_disk(mp, z - mp.mpc(D.params[0]))
+        u = mp.exp(z / mp.mpc(D.params[0]))  # the log strip onto the slit disk
+        return _mp_slit_disk(mp, u) * abs(u / mp.mpc(D.params[0]))
+
+
+def _mp_slit_disk(mp, u):
+    # s = sqrt(-u), arg in (0, 2 pi), onto the upper half disk;
+    # t = -(s + 1/s)/2 onto the upper half-plane; (t - i)/(t + i) onto the disk
+    th = mp.arg(-u)
+    s = mp.sqrt(abs(u)) * mp.expj((th + 2 * mp.pi if th <= 0 else th) / 2)
+    t = -(s + 1 / s) / 2
+    zeta = (t - 1j) / (t + 1j)
+    dzeta = 2j / (t + 1j) ** 2 * (-(1 - 1 / s ** 2) / 2) * (-1 / (2 * s))
+    return abs(dzeta) / (1 - abs(zeta) ** 2)
+
+
+def _near_slit(rng, c, n):
+    """n points of slit_disk(c) within 1e-15 to 1e-1 of the slit."""
+    out = []
+    while len(out) < n:
+        u = complex(-rng.uniform(0.0, 0.99),
+                    rng.choice((-1, 1)) * 10 ** rng.uniform(-15, -1))
+        z = c + u
+        if contains(slit_disk(c), z):
+            out.append(z)
+    return out
+
+
+def _uniform(rng, D, n):
+    """The points of D among n uniform points of the disk about its centre."""
+    c = D.params[0] if D.kind == "slit_disk" else 0j
+    pts = [c + cmath.rect(math.sqrt(rng.random()),
+                          rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+    return [p for p in pts if contains(D, p)]
+
+
+def _max_rel_err(D, z):
+    lam = domains.density_vec(D, np.array(z, dtype=complex))
+    return max(abs(float((x - _mp_density(D, p)) / _mp_density(D, p)))
+               for x, p in zip(lam.tolist(), z))
+
+
+@pytest.mark.parametrize("c", [0j, 0.3 - 0.2j])
+def test_slit_disk_density_near_the_slit(c):
+    rng = random.Random(17)
+    D = slit_disk(c)
+    z = _near_slit(rng, c, 1000) + _uniform(rng, D, 1000)
+    assert _max_rel_err(D, z) <= 1e-12
+
+
+def test_punctured_disk_density_near_both_boundaries():
+    rng = random.Random(18)
+    z = [cmath.rect(r, rng.uniform(-math.pi, math.pi))
+         for r in [1 - 10 ** rng.uniform(-15, -1) for _ in range(300)]
+         + [10 ** rng.uniform(-15, -1) for _ in range(300)]]
+    z += _uniform(rng, punctured_disk(), 300)
+    assert _max_rel_err(punctured_disk(), z) <= 1e-14
+
+
+def test_other_densities_against_mpmath():
+    rng = random.Random(19)
+    disk = _uniform(rng, unit_disk(), 500)
+    strip = [1.3 * cmath.log(p) for p in _uniform(rng, slit_disk(0), 500)]
+    koebe = [w for w in (p / (1 - p) ** 2 for p in disk)
+             if contains(koebe_slit_plane(), w)]
+    assert _max_rel_err(log_strip(1.3), strip) <= 1e-12
+    assert _max_rel_err(koebe_slit_plane(), koebe) <= 1e-15
+    assert _max_rel_err(upper_half_plane(),
+                        [1j * (1 + p) / (1 - p) for p in disk]) <= 1e-15
+    # 1/(1 - |z|^2) itself loses more than 1e-14 near the circle, so the
+    # uniformizer is held to it rather than to the 60-digit value
+    z = np.array(disk)
+    assert np.allclose(domains.density_vec(unit_disk(), z),
+                       1.0 / (1.0 - np.abs(z) ** 2), rtol=1e-14, atol=0)

@@ -1,16 +1,22 @@
+import cmath
 import math
+import random
 import time
 
 import numpy as np
 import pytest
 
 from conformal_metrics import (
-    NoGridPathError,
     OutsideDomainError,
     Polyline,
+    SingularPointError,
     SolverConfig,
-    hyperbolic_distance_disk,
+    cayley_map,
+    hyperbolic_distance,
+    koebe_map,
     koebe_slit_plane,
+    log_slit_map,
+    log_strip,
     mobius_map,
     path_quadrature,
     punctured_disk,
@@ -26,25 +32,59 @@ def test_polyline_validation():
         Polyline([0])
     with pytest.raises(ValueError):
         Polyline([0, 0, 1])
-    p = Polyline([0, 1, 1 + 1j])
-    assert p.length() == pytest.approx(2.0)
+    assert Polyline([0, 1, 1 + 1j]).points == (0, 1, 1 + 1j)
 
 
 def test_hyperbolic_distance_disk_closed_form():
     # atanh(0.5) with the curvature -4 normalization
-    assert hyperbolic_distance_disk(0, 0.5) == pytest.approx(
+    assert hyperbolic_distance(unit_disk(), 0, 0.5) == pytest.approx(
         0.549306144, abs=1e-9
     )
     with pytest.raises(OutsideDomainError):
-        hyperbolic_distance_disk(0, 1.5)
+        hyperbolic_distance(unit_disk(), 0, 1.5)
+
+
+def test_hyperbolic_distance_needs_simply_connected_domain():
+    with pytest.raises(ValueError, match="simply connected"):
+        hyperbolic_distance(punctured_disk(), 0.25, 0.5)
+
+
+def test_hyperbolic_distance_beyond_float_range_raises():
+    # the log strip's psi = -i sinh(z/2) overflows for Re z < -1420
+    with pytest.raises(SingularPointError, match="not a finite float"):
+        hyperbolic_distance(log_strip(1), -1500, -1501)
 
 
 def test_hyperbolic_distance_mobius_invariance():
     m = mobius_map(0.3, 1.2)
     z1, z2 = 0.1 + 0.2j, -0.4j
-    assert hyperbolic_distance_disk(m.value(z1), m.value(z2)) == pytest.approx(
-        hyperbolic_distance_disk(z1, z2), rel=1e-12
+    D = unit_disk()
+    assert hyperbolic_distance(D, m.value(z1), m.value(z2)) == pytest.approx(
+        hyperbolic_distance(D, z1, z2), rel=1e-12
     )
+
+
+def test_hyperbolic_distance_disk_diameters():
+    # h(r, -r) = log((1+r)/(1-r)), down to 1e-15 from the circle
+    for k in range(1, 16):
+        r = 1 - 10.0 ** -k
+        assert hyperbolic_distance(unit_disk(), r, -r) == pytest.approx(
+            math.log((1 + r) / (1 - r)), rel=1e-12, abs=0), k
+
+
+def test_hyperbolic_distance_conformal_invariance():
+    # conformal maps carry h unchanged: the Cayley and Koebe maps from the
+    # disk, and Log from the slit disk onto the log strip
+    rng = random.Random(5)
+    for _ in range(200):
+        z1, z2 = (cmath.rect(0.95 * math.sqrt(rng.random()),
+                             rng.uniform(-math.pi, math.pi)) for _ in range(2))
+        for f, D in ((cayley_map(), upper_half_plane()),
+                     (koebe_map(), koebe_slit_plane()),
+                     (log_slit_map(0, 1), log_strip(1))):
+            h = hyperbolic_distance(f.base_domain, z1, z2)
+            assert hyperbolic_distance(D, f.value(z1), f.value(z2)) == (
+                pytest.approx(h, rel=1e-12, abs=0))
 
 
 def test_quadrature_radial_quasihyperbolic():

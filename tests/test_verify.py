@@ -454,7 +454,8 @@ def _outcome(fn):
 
 
 _ON_CIRCLE = cmath.rect(1.0, 0.1)        # |z| rounds to exactly 1
-_NEAR_SLIT = -0.5 + 1e-16j               # slit-disk preimage rounds to |.| = 1
+_NEAR_SLIT = -0.5 + 1e-16j               # lambda = 5e15
+_SLIT_OVERFLOW = -0.5 + 1e-310j          # lambda overflows
 _KOEBE_TO_TIP = -0.999999999             # koebe value rounds to -1/4
 _CAYLEY_TO_AXIS = 0.19846971337464014 + 0.9801070211323802j
 _MOBIUS = mobius_map(0.3 + 0.2j, 0.7)
@@ -480,7 +481,7 @@ PARITY_CASES = [
     ("lemma31", log_slit_map(0, 1), slit_disk(0), "near_puncture",
      (_NEAR_SLIT, -0.5), {}),
     ("lambda_delta", None, slit_disk(0), "uniform_disk",
-     (_NEAR_SLIT, -0.5, 0j), {}),
+     (_NEAR_SLIT, _SLIT_OVERFLOW, -0.5, 0j), {}),
     ("lambda_delta", None, punctured_disk(), "near_puncture", (0j,), {}),
     ("koebe_distortion", cayley_map(), unit_disk(), "uniform_disk",
      (1.0, _CAYLEY_TO_AXIS), {}),
@@ -561,7 +562,7 @@ def test_parity_cases_reach_every_kind_and_skip_reason():
     assert {c[0] for c in PARITY_CASES} == set(BOUND_KINDS)
     assert {"Domain(unit_disk)", "Domain(koebe_slit_plane)",
             "Domain(upper_half_plane)", "Domain(punctured_disk)",
-            "point too close to the slit for the density route",
+            "hyperbolic density is not a finite positive float here",
             "koebe is singular at z = 1",
             "pre-Schwarzian undefined: f' = 0",
             "Schwarzian undefined: f' = 0",
