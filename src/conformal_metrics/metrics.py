@@ -9,9 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from . import domains
 from .domains import Domain
@@ -160,6 +157,11 @@ def _grid_box(D: Domain, z1: complex, z2: complex):
 
 def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
                    cfg: SolverConfig) -> np.ndarray:
+    # scipy is imported by the solver stages only, so that a process that
+    # never solves does not pay for loading it.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     n = cfg.grid_resolution
     xmin, xmax, ymin, ymax = _grid_box(D, z1, z2)
     xs = np.linspace(xmin, xmax, n)
@@ -209,7 +211,7 @@ def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
         return j
 
     s, t = snap(z1), snap(z2)
-    dist, pred = _sparse_dijkstra(
+    dist, pred = dijkstra(
         graph, directed=False, indices=s, return_predecessors=True
     )
     if not np.isfinite(dist[t]):
@@ -253,6 +255,8 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
     the functional, so the recorded history is non-increasing by
     construction.
     """
+    from scipy.linalg import solve_banded
+
     weight = _weight_fn("quasihyperbolic", D)
     panels = cfg.quad_panels_per_segment
 

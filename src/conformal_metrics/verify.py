@@ -71,8 +71,10 @@ class SampleSet:
         """Sample points in the unit disk according to the strategy.
 
         Each sample takes two draws from random.Random(seed): the angle,
-        then the radius (or, for radial_line, the abscissa).  A sample at 0
-        is dropped and the stream continues.
+        then the radius (or, for radial_line, the abscissa).  A sample at 0,
+        or one that rounds onto or beyond the unit circle (near_boundary
+        with eps near float resolution at |z| = 1), is dropped and the
+        stream continues.
         """
         rng = random.Random(self.seed)
         e = self.eps if self.eps is not None else 1e-6
@@ -90,7 +92,7 @@ class SampleSet:
                           th)
             else:
                 raise ValueError(f"unknown strategy {self.strategy!r}")
-            out = np.concatenate([out, z[z != 0]])
+            out = np.concatenate([out, z[(z != 0) & (np.abs(z) < 1.0)]])
         return out
 
     def disk_points(self) -> list[complex]:
@@ -123,8 +125,16 @@ class SampleSet:
 
 
 def _draws(rng: random.Random, n: int) -> np.ndarray:
-    """The next 2n values of rng, as n rows of two."""
-    return np.array([rng.random() for _ in range(2 * n)]).reshape(n, 2)
+    """The next 2n values of rng, as n rows of two.
+
+    One getrandbits call yields the 32-bit words that 2n calls of
+    rng.random() would consume, little-endian, and leaves rng in the same
+    state; each value is random()'s own formula on a pair of words (a, b):
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53.
+    """
+    bits = rng.getrandbits(128 * n).to_bytes(16 * n, "little")
+    w = np.frombuffer(bits, dtype="<u4").astype(np.uint64).reshape(2 * n, 2)
+    return ((w[:, 0] >> 5) * 2**26 + (w[:, 1] >> 6)).reshape(n, 2) / 2.0**53
 
 
 def _uniform(a: float, b: float, u: np.ndarray) -> np.ndarray:

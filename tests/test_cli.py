@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +219,27 @@ def test_out_file_writing(tmp_path, capsys):
                        "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_text() == "1.000000000\n"
+
+
+_SCIPY_ON_FIRST_SOLVE = """
+import sys
+from conformal_metrics import cli
+assert cli.main(["density", "--domain", "disk", "--at", "0.3,0.2"]) == 0
+assert "scipy" not in sys.modules, "density loaded scipy"
+from conformal_metrics import punctured_disk, quasihyperbolic_distance
+k, _ = quasihyperbolic_distance(punctured_disk(), 0.25, 0.5)
+assert "scipy" in sys.modules
+print(k)
+"""
+
+
+def test_scipy_is_loaded_only_by_the_solver():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_SOLVE],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    density, k = proc.stdout.split()
+    assert float(density) > 1
+    assert float(k) == pytest.approx(math.log(2), rel=1e-6)

@@ -590,3 +590,23 @@ def test_near_boundary_eps_below_float_resolution_rejected():
         assert all(abs(z) < 1 for z in pts)
     # the puncture has no such limit
     SampleSet(seed=0, count=10, strategy="near_puncture", eps=1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5000])
+def test_bulk_draws_match_per_call_random(n):
+    from conformal_metrics.verify import _draws
+    for seed in (0, 1, 42, 90210):
+        bulk, loop = random.Random(seed), random.Random(seed)
+        got = _draws(bulk, n)
+        want = np.array([loop.random() for _ in range(2 * n)]).reshape(n, 2)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert bulk.getstate() == loop.getstate()
+
+
+def test_near_boundary_samples_rounding_onto_the_circle_are_dropped():
+    # at eps = 1e-16 about 1 sample in 400 rounds onto |z| = 1
+    for seed in range(10):
+        z = SampleSet(seed=seed, count=2000, strategy="near_boundary",
+                      eps=1e-16)._disk_array()
+        assert len(z) == 2000
+        assert np.all(np.abs(z) < 1.0)
