@@ -94,14 +94,19 @@ def _cmd_ratio(args) -> int:
     return 0
 
 
+# option dest -> SolverConfig field; each option defaults to its field
+_SOLVER_OPTIONS = {
+    "grid_resolution": "grid_resolution",
+    "relax_iterations": "relax_iterations",
+    "path_nodes": "path_nodes",
+    "quad_panels": "quad_panels_per_segment",
+    "solver_tolerance": "tolerance",
+}
+
+
 def _solver_config(args) -> metrics.SolverConfig:
-    return metrics.SolverConfig(
-        grid_resolution=args.grid_resolution,
-        relax_iterations=args.relax_iterations,
-        path_nodes=args.path_nodes,
-        quad_panels_per_segment=args.quad_panels,
-        tolerance=args.solver_tolerance,
-    )
+    return metrics.SolverConfig(**{field: getattr(args, dest)
+                                   for dest, field in _SOLVER_OPTIONS.items()})
 
 
 def _cmd_distance(args) -> int:
@@ -156,8 +161,11 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     D = parse_domain_spec(args.domain)
     f = maps.parse_map_spec(args.map) if args.map else None
+    if f is None and args.quantity != "pdisk-ratio":
+        raise ValueError(f"--quantity {args.quantity} needs --map")
     a, b = float(getattr(args, "from")), float(args.to)
     params = np.linspace(a, b, args.steps)
+    density = domains.hyperbolic_density
     rows = ["param,value,bound"]
     for t in params:
         z = complex(t, 0.0)
@@ -166,13 +174,13 @@ def _cmd_sweep(args) -> int:
             bound = float("inf")
         elif args.quantity == "ratio":
             value = verify.distortion_ratio(f, D, z)
-            bound = 4.0 * domains.hyperbolic_density(D, z)
+            bound = verify.BOUNDS["thm21"].upper * density(D, z)
         elif args.quantity == "T":
             value = abs(verify.pre_schwarzian(f.jet(z)))
-            bound = 8.0 * domains.hyperbolic_density(D, z)
+            bound = verify.BOUNDS["osgood_T"].upper * density(D, z)
         else:  # S
             value = abs(verify.schwarzian(f.jet(z)))
-            bound = 12.0 * domains.hyperbolic_density(D, z) ** 2
+            bound = verify.BOUNDS["lehto_S"].upper * density(D, z) ** 2
         rows.append(f"{_fmt9(t)},{_fmt9(value)},{_fmt9(bound)}")
     _emit("\n".join(rows) + "\n", args.out)
     return 0
@@ -198,11 +206,10 @@ def _add_sample_args(p, default_count=1000):
 
 
 def _add_solver_args(p):
-    p.add_argument("--grid-resolution", type=int, default=200)
-    p.add_argument("--relax-iterations", type=int, default=500)
-    p.add_argument("--path-nodes", type=int, default=128)
-    p.add_argument("--quad-panels", type=int, default=16)
-    p.add_argument("--solver-tolerance", type=float, default=1e-6)
+    for dest, field in _SOLVER_OPTIONS.items():
+        default = getattr(metrics.SolverConfig, field)
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default),
+                       default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["ratio", "pdisk-ratio", "T", "S"])
     p.add_argument("--map")
     p.add_argument("--domain", required=True)
-    p.add_argument("--path", default="radial", choices=["radial"])
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--steps", type=int, required=True)

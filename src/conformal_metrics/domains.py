@@ -171,13 +171,13 @@ _KINDS = {
         contains=lambda z: np.abs(z) < 1.0,
         delta=lambda z: 1.0 - np.abs(z),
         psi=_cayley,
-        bbox=lambda: _UNIT_BOX, sample_map="identity",
+        bbox=lambda: _UNIT_BOX, centre=lambda: 0j,
     ),
     "punctured_disk": Kind(
         contains=lambda z: (np.abs(z) < 1.0) & (z != 0),
         delta=_pdisk_delta,
         psi=lambda z: (-1j * np.log(z), -1j / z),  # local branches only
-        bbox=lambda: _UNIT_BOX, simply_connected=False, sample_map="identity",
+        bbox=lambda: _UNIT_BOX, simply_connected=False, centre=lambda: 0j,
     ),
     "upper_half_plane": Kind(
         contains=lambda z: z.imag > 0.0,

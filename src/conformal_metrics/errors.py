@@ -33,11 +33,11 @@ class MapNotUnivalentError(ConformalMetricsError):
 
 
 class NoDensityRouteError(ConformalMetricsError):
-    """No conformal or covering route to the disk is registered."""
+    """A map has no catalog image domain."""
 
 
 class NoGridPathError(ConformalMetricsError):
-    """Grid Dijkstra could not connect the endpoints; raise the resolution."""
+    """Grid Dijkstra could not connect the endpoints."""
 
 
 class InvalidParameterError(ConformalMetricsError, ValueError):

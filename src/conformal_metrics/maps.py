@@ -8,8 +8,6 @@ No numerical differentiation anywhere.
 from __future__ import annotations
 
 import cmath
-import math
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -279,14 +277,14 @@ def compose_maps(f: AnalyticMap, g: AnalyticMap,
                  check_samples: int = 256, seed: int = 0) -> AnalyticMap:
     """f o g on the base domain of g.
 
-    Domain compatibility is spot-checked by mapping `check_samples` random
-    interior points of g's base through g; symbolic image computation is out
-    of scope.
+    Domain compatibility is spot-checked by mapping `check_samples` seeded
+    uniform samples of g's base through g (none when 0); symbolic image
+    computation is out of scope.
     """
-    if not f.entire:
-        rng = random.Random(seed)
-        z = np.array([_random_interior_point(g.base_domain, rng)
-                      for _ in range(check_samples)], dtype=complex)
+    if not f.entire and check_samples:
+        from .verify import SampleSet  # verify imports this module
+
+        z = SampleSet(seed, check_samples).points(g.base_domain)
         faults = Faults(z.shape)
         with np.errstate(all="ignore"):
             gz = checked_jet(g, z, faults).f0
@@ -306,15 +304,3 @@ def compose_maps(f: AnalyticMap, g: AnalyticMap,
         "composite", (), g.base_domain, univalent,
         image_domain=image, entire=f.entire and g.entire, factors=(f, g),
     )
-
-
-def _random_interior_point(D: Domain, rng: random.Random) -> complex:
-    """A random point of a map's base domain: the disk or a shifted slit
-    disk."""
-    shift = D.params[0] if D.kind == "slit_disk" else 0j
-    for _ in range(10000):
-        z = cmath.rect(math.sqrt(rng.random()) * 0.999,
-                       rng.uniform(-math.pi, math.pi)) + shift
-        if domains.contains(D, z):
-            return z
-    raise RuntimeError(f"could not sample an interior point of {D}")

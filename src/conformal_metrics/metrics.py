@@ -63,8 +63,10 @@ class SolverConfig:
     tolerance: float = 1e-6        # relative improvement stopping threshold
 
     def __post_init__(self):
-        if min(self.grid_resolution, self.relax_iterations,
-               self.path_nodes, self.quad_panels_per_segment) <= 0:
+        for name in ("grid_resolution", "path_nodes"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2")
+        if min(self.relax_iterations, self.quad_panels_per_segment) <= 0:
             raise ValueError("solver parameters must be positive")
         if not (0 < self.relax_step and 0 < self.tolerance < 1):
             raise ValueError("bad relax_step or tolerance")
@@ -215,9 +217,7 @@ def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
         graph, directed=False, indices=s, return_predecessors=True
     )
     if not np.isfinite(dist[t]):
-        raise NoGridPathError(
-            "grid disconnects the endpoints; raise grid_resolution"
-        )
+        raise NoGridPathError("grid disconnects the endpoints")
     path = [t]
     while path[-1] != s:
         path.append(int(pred[path[-1]]))
@@ -228,18 +228,17 @@ def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
 
 
 def _resample(p: np.ndarray, m: int) -> np.ndarray:
+    """m points at equal arc length along the polyline p; the node i lies on
+    the first segment whose end is not short of its target."""
     seg = np.abs(np.diff(p))
     s = np.concatenate([[0.0], np.cumsum(seg)])
     if s[-1] == 0:
         return p
     targets = np.linspace(0.0, s[-1], m)
-    out = np.empty(m, dtype=complex)
-    j = 0
-    for i, tv in enumerate(targets):
-        while j < len(seg) - 1 and s[j + 1] < tv:
-            j += 1
-        frac = 0.0 if seg[j] == 0 else (tv - s[j]) / seg[j]
-        out[i] = p[j] + frac * (p[j + 1] - p[j])
+    j = np.minimum(np.searchsorted(s[1:], targets), len(seg) - 1)
+    frac = np.divide(targets - s[j], seg[j], out=np.zeros(m),
+                     where=seg[j] != 0)
+    out = p[j] + frac * (p[j + 1] - p[j])
     out[0], out[-1] = p[0], p[-1]
     keep = np.concatenate([[True], np.abs(np.diff(out)) > 1e-15])
     return out[keep]

@@ -11,6 +11,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "check_composition_laws",
     "check_covering_identity",
     "estimate_uniformity_constant",
+    "BOUNDS",
     "BOUND_KINDS",
 ]
 
@@ -214,43 +216,44 @@ def punctured_disk_ratio(z: complex) -> float:
 # ---------------------------------------------------------------------------
 # pointwise bound checks
 
-BOUND_KINDS = (
-    "thm21", "lemma31", "lambda_delta", "koebe_distortion",
-    "osgood_T", "osgood_T_delta", "lehto_S", "gehring_S", "thm41", "cor43",
-)
+@dataclass(frozen=True)
+class Bound:
+    """One sharp window lower <= value <= upper.  The value is a quantity
+    read off the map's jet at z, normalized by powers of lambda_D(z) and
+    delta_D(z) so the window is scale free."""
 
-_NEEDS_SIMPLY_CONNECTED = {"thm21", "koebe_distortion", "lehto_S", "osgood_T"}
-_NEEDS_MAP = set(BOUND_KINDS) - {"lambda_delta"}
-_NEEDS_LAMBDA = {"thm21", "thm41", "cor43", "lambda_delta", "osgood_T",
-                 "lehto_S", "koebe_distortion"}
-_NEEDS_DELTA = {"lemma31", "lambda_delta", "osgood_T_delta", "gehring_S"}
+    lower: float
+    upper: float                # thm41 multiplies it by Q
+    quantity: str | None        # "ratio", "T", "S", or None: reads no map
+    value: Callable             # (quantity, lambda, delta) -> value
+    lam: bool = False           # reads lambda_D
+    delta: bool = False         # reads delta_D
+    simply_connected: bool = False
+
+
+BOUNDS = {
+    "thm21": Bound(1.0, 4.0, "ratio", lambda q, lam, d: q / lam, lam=True,
+                   simply_connected=True),
+    "lemma31": Bound(0.25, 4.0, "ratio", lambda q, lam, d: q * d, delta=True),
+    "lambda_delta": Bound(0.25, 1.0, None, lambda q, lam, d: lam * d,
+                          lam=True, delta=True),
+    "koebe_distortion": Bound(0.25, 1.0, "ratio", lambda q, lam, d: lam / q,
+                              lam=True, simply_connected=True),
+    "osgood_T": Bound(0.0, 8.0, "T", lambda q, lam, d: q / lam, lam=True,
+                      simply_connected=True),
+    "osgood_T_delta": Bound(0.0, 4.0, "T", lambda q, lam, d: q * d,
+                            delta=True),
+    "lehto_S": Bound(0.0, 12.0, "S", lambda q, lam, d: q / lam ** 2,
+                     lam=True, simply_connected=True),
+    "gehring_S": Bound(0.0, 6.0, "S", lambda q, lam, d: q * d ** 2,
+                       delta=True),
+    "thm41": Bound(0.25, 4.0, "ratio", lambda q, lam, d: q / lam, lam=True),
+    "cor43": Bound(0.125, 8.0, "ratio", lambda q, lam, d: q / lam, lam=True),
+}
+BOUND_KINDS = tuple(BOUNDS)
 
 # errors that skip a sample; any other error at a sample aborts the check
 _SKIPPED = (NotLocallyUnivalentError, SingularPointError, OutsideDomainError)
-
-
-def _bound_window(kind: str, Q: float | None) -> tuple[float, float]:
-    if kind == "thm21":
-        return 1.0, 4.0
-    if kind == "lemma31":
-        return 0.25, 4.0
-    if kind in ("lambda_delta", "koebe_distortion"):
-        return 0.25, 1.0
-    if kind == "osgood_T":
-        return 0.0, 8.0
-    if kind == "osgood_T_delta":
-        return 0.0, 4.0
-    if kind == "lehto_S":
-        return 0.0, 12.0
-    if kind == "gehring_S":
-        return 0.0, 6.0
-    if kind == "thm41":
-        if Q is None:
-            raise ValueError("thm41 needs the uniformity constant Q")
-        return 0.25, 4.0 * Q
-    if kind == "cor43":
-        return 0.125, 8.0
-    raise ValueError(f"unknown bound kind {kind!r}")
 
 
 def check_pointwise_bounds(f: AnalyticMap | None, D: Domain,
@@ -263,17 +266,22 @@ def check_pointwise_bounds(f: AnalyticMap | None, D: Domain,
     The recorded per-sample value is normalized so the window constants are
     scale free (e.g. thm21 records ratio/lambda with window [1, 4]).
     """
-    if kind not in BOUND_KINDS:
+    if kind not in BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}")
-    if kind in _NEEDS_MAP and f is None:
+    bound = BOUNDS[kind]
+    if bound.quantity is not None and f is None:
         raise ValueError(f"kind {kind!r} requires a map")
-    if kind in _NEEDS_SIMPLY_CONNECTED and not domains.simply_connected(D):
+    if bound.simply_connected and not domains.simply_connected(D):
         raise ValueError(f"kind/domain mismatch: {kind} needs a simply "
                          f"connected domain, got {D.kind}")
-    if kind in _NEEDS_SIMPLY_CONNECTED and f is not None and not f.univalent:
+    if bound.simply_connected and f is not None and not f.univalent:
         raise ValueError(f"kind/domain mismatch: {kind} needs a univalent map")
 
-    lo, hi = _bound_window(kind, Q)
+    lo, hi = bound.lower, bound.upper
+    if kind == "thm41":
+        if Q is None:
+            raise ValueError("thm41 needs the uniformity constant Q")
+        hi *= Q
     constants = {"lower": lo, "upper": hi, "rtol": rtol,
                  "delta_route": "closed_form"}
     if Q is not None:
@@ -287,8 +295,9 @@ def check_pointwise_bounds(f: AnalyticMap | None, D: Domain,
     with np.errstate(all="ignore"):
         v, t = _evaluate(f, D, z, kind, faults)
     checks = [(v < lo - rtol, v, lo), (v > hi + rtol, v, hi)]
-    if t is not None:
-        checks.append((t > 8.0 + rtol, t, 8.0))
+    if t is not None:  # cor43's T side is Osgood's window
+        t_hi = BOUNDS["osgood_T"].upper
+        checks.append((t > t_hi + rtol, t, t_hi))
     return _report(kind, constants, z, v, faults, checks)
 
 
@@ -320,37 +329,33 @@ def _report(kind, constants, z, v, faults, checks,
                        violations, skipped)
 
 
+# the T and S quantities: |T_f| and |S_f|, undefined where f' = 0
+_SIZES = {"T": (pre_schwarzian, jets.PRE_SCHWARZIAN_UNDEFINED),
+          "S": (schwarzian, jets.SCHWARZIAN_UNDEFINED)}
+
+
 def _evaluate(f, D, z, kind, faults):
     """(value, T) of a bound kind at every sample; T is |f''/f'|/lambda for
     cor43 and None otherwise.  Checks are flagged in `faults` in the order
     the scalar API makes them, so each sample keeps the error a per-sample
     evaluation would raise."""
-    if kind in _NEEDS_LAMBDA:
-        lam = domains.checked_density(D, z, faults)
-    if kind in _NEEDS_DELTA:
-        delta = domains.checked_delta(D, z, faults)
-    if kind == "lambda_delta":
-        return lam * delta, None
+    bound = BOUNDS[kind]
+    lam = domains.checked_density(D, z, faults) if bound.lam else None
+    delta = domains.checked_delta(D, z, faults) if bound.delta else None
+    if bound.quantity is None:
+        return bound.value(None, lam, delta), None
     jet = maps.checked_jet(f, z, faults)
-    if kind in ("thm21", "thm41", "cor43", "lemma31", "koebe_distortion"):
+    t = None
+    if bound.quantity == "ratio":  # |f'| / delta of the image
         faults.flag(jet.f1 == 0, lambda i: _critical_point(complex(z[i])))
-        d_image = _image_delta(f, D, z, jet, faults)
-        if kind == "koebe_distortion":
-            return d_image * lam / np.abs(jet.f1), None
-        ratio = np.abs(jet.f1) / d_image
-        if kind == "lemma31":
-            return ratio * delta, None
-        t = np.abs(pre_schwarzian(jet)) / lam if kind == "cor43" else None
-        return ratio / lam, t
-    if kind in ("osgood_T", "osgood_T_delta"):
-        faults.flag(jet.f1 == 0,
-                    NotLocallyUnivalentError(jets.PRE_SCHWARZIAN_UNDEFINED))
-        size = np.abs(pre_schwarzian(jet))
-        return (size / lam if kind == "osgood_T" else size * delta), None
-    faults.flag(jet.f1 == 0,
-                NotLocallyUnivalentError(jets.SCHWARZIAN_UNDEFINED))
-    size = np.abs(schwarzian(jet))
-    return (size / lam ** 2 if kind == "lehto_S" else size * delta ** 2), None
+        q = np.abs(jet.f1) / _image_delta(f, D, z, jet, faults)
+        if kind == "cor43":
+            t = np.abs(pre_schwarzian(jet)) / lam
+    else:
+        size, undefined = _SIZES[bound.quantity]
+        faults.flag(jet.f1 == 0, NotLocallyUnivalentError(undefined))
+        q = np.abs(size(jet))
+    return bound.value(q, lam, delta), t
 
 
 def _image_delta(f, D, z, jet, faults):
@@ -369,33 +374,29 @@ def _image_delta(f, D, z, jet, faults):
 
 def check_distance_comparison(f: AnalyticMap, pre_pairs,
                               cfg: metrics.SolverConfig | None = None) -> BoundReport:
-    """k_{f(D)}(f(z1), f(z2)) / h_D(z1, z2) against the window [1, 4]."""
+    """k_{f(D)}(f(z1), f(z2)) / h_D(z1, z2) against thm21's window [1, 4]:
+    integrating lambda <= 1/delta <= 4 lambda gives h <= k <= 4h."""
     cfg = cfg or metrics.SolverConfig()
     if f.image_domain is None:
         raise ValueError("distance comparison needs a closed-form image domain")
     lo_slack = 1e-3 + 4 * cfg.tolerance
     hi_slack = 1e-2 + 4 * cfg.tolerance
-    values = []
+    z, v = [], []
     for z1, z2 in pre_pairs:
         h = metrics.hyperbolic_distance(domains.unit_disk(), z1, z2)
         if h == 0.0:
-            values.append((1.0, complex(z1)))  # coincident pair, by convention
-            continue
-        k, _ = metrics.quasihyperbolic_distance(
-            f.image_domain, f.value(z1), f.value(z2), cfg
-        )
-        values.append((k / h, complex(z1)))
-    vmin, zmin = min(values, key=lambda t: t[0])
-    vmax, zmax = max(values, key=lambda t: t[0])
-    violations = [
-        {"z": z, "lhs": v, "rhs": 1.0} for v, z in values if v < 1.0 - lo_slack
-    ] + [
-        {"z": z, "lhs": v, "rhs": 4.0} for v, z in values if v > 4.0 + hi_slack
-    ]
-    constants = {"lower": 1.0, "upper": 4.0,
+            k = h = 1.0  # coincident pair, by convention
+        else:
+            k, _ = metrics.quasihyperbolic_distance(
+                f.image_domain, f.value(z1), f.value(z2), cfg)
+        z.append(complex(z1))
+        v.append(k / h)
+    z, v = np.array(z, dtype=complex), np.array(v, dtype=float)
+    lo, hi = BOUNDS["thm21"].lower, BOUNDS["thm21"].upper
+    constants = {"lower": lo, "upper": hi,
                  "lower_slack": lo_slack, "upper_slack": hi_slack}
-    return BoundReport("cor22", constants, len(values), vmin, vmax,
-                       zmin, zmax, violations)
+    return _report("cor22", constants, z, v, Faults(z.shape),
+                   [(v < lo - lo_slack, v, lo), (v > hi + hi_slack, v, hi)])
 
 
 # ---------------------------------------------------------------------------

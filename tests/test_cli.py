@@ -158,6 +158,35 @@ def test_sweep_pdisk_ratio_monotone(capsys):
     assert vals == sorted(vals, reverse=True)
 
 
+@pytest.mark.parametrize("quantity", ["ratio", "T", "S"])
+def test_sweep_without_map_is_usage_error(capsys, quantity):
+    code, out, err = run(capsys, "sweep", "--quantity", quantity,
+                         "--domain", "disk", "--from", "0.1", "--to", "0.5",
+                         "--steps", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: --quantity {quantity} needs --map\n"
+
+
+def test_sweep_path_option_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--quantity", "pdisk-ratio", "--domain", "pdisk",
+              "--path", "radial", "--from", "0.1", "--to", "0.5",
+              "--steps", "3"])
+    assert exc.value.code == 2
+    assert "--path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, field", [
+    ("--grid-resolution", "grid_resolution"),
+    ("--path-nodes", "path_nodes"),
+])
+def test_solver_grids_below_two_are_usage_errors(capsys, option, field):
+    code, out, err = run(capsys, "distance", "--domain", "disk", "--metric",
+                         "qhyp", "--from", "0.1", "--to", "0.5", option, "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {field} must be at least 2\n"
+
+
 def test_uniformity_subcommand(capsys):
     code, out, _ = run(capsys, "uniformity", "--domain", "disk",
                        "--samples", "2000", "--strategy", "near_boundary")

@@ -109,6 +109,13 @@ def test_composition_compatibility_check():
         compose_maps(koebe_map(), cayley_map())
 
 
+def test_composition_check_samples_a_slit_disk_base():
+    # log_slit's base is a slit disk; part of its image, a half-strip,
+    # leaves koebe's base, the unit disk
+    with pytest.raises(IncompatibleCompositionError, match="log_slit"):
+        compose_maps(koebe_map(), log_slit_map(0, 1))
+
+
 def test_entire_outer_skips_compatibility():
     h = compose_maps(power_map(2), cayley_map())
     z = 0.3j

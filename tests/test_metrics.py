@@ -25,6 +25,7 @@ from conformal_metrics import (
     unit_disk,
     upper_half_plane,
 )
+from conformal_metrics import metrics
 
 
 def test_polyline_validation():
@@ -166,6 +167,10 @@ def test_solver_rejects_outside_endpoint():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grid_resolution=0)
+    for field in ("grid_resolution", "path_nodes"):
+        with pytest.raises(ValueError, match=f"{field} must be at least 2"):
+            SolverConfig(**{field: 1})
+        assert getattr(SolverConfig(**{field: 2}), field) == 2
     with pytest.raises(ValueError):
         SolverConfig(tolerance=2.0)
 
@@ -176,3 +181,38 @@ def test_geodesic_value_not_above_grid_value():
     v2, _, h2 = quasihyperbolic_distance_detailed(unit_disk(), 0.9, 0.9j)
     assert v2 <= h2[0] + 1e-12    # relaxed below the initial grid path
     assert v2 <= v1 + 1e-9        # more iterations never hurt
+
+
+def _resample_loop(p, m):
+    """The solver's resampling as one Python step per target."""
+    seg = np.abs(np.diff(p))
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    if s[-1] == 0:
+        return p
+    targets = np.linspace(0.0, s[-1], m)
+    out = np.empty(m, dtype=complex)
+    j = 0
+    for i, tv in enumerate(targets):
+        while j < len(seg) - 1 and s[j + 1] < tv:
+            j += 1
+        frac = 0.0 if seg[j] == 0 else (tv - s[j]) / seg[j]
+        out[i] = p[j] + frac * (p[j + 1] - p[j])
+    out[0], out[-1] = p[0], p[-1]
+    keep = np.concatenate([[True], np.abs(np.diff(out)) > 1e-15])
+    return out[keep]
+
+
+@pytest.mark.parametrize("m", [2, 3, 128])
+def test_resample_matches_the_loop(m):
+    rng = np.random.default_rng(m)
+    for n in (2, 3, 9, 40):
+        p = rng.normal(size=n) + 1j * rng.normal(size=n)
+        # repeated points give zero-length segments
+        p = np.repeat(p, rng.integers(1, 4, size=n))
+        got, want = metrics._resample(p, m), _resample_loop(p, m)
+        assert got.tobytes() == want.tobytes()
+    # targets on nodes: a tie goes to the segment that ends there
+    p = np.repeat(0.1 + 0.1j + 0.1 * np.arange(m), 2)
+    assert metrics._resample(p, m).tobytes() == _resample_loop(p, m).tobytes()
+    same = np.full(5, 0.3 + 0.1j)
+    assert metrics._resample(same, m).tobytes() == same.tobytes()
