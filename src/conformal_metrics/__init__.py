@@ -11,7 +11,6 @@ from .domains import (
     boundary_distance,
     contains,
     hyperbolic_density,
-    image_boundary_distance,
     koebe_slit_plane,
     log_strip,
     punctured_disk,
@@ -37,6 +36,7 @@ from .maps import (
     cayley_map,
     compose_maps,
     identity_map,
+    image_boundary_distance,
     koebe_map,
     log_slit_map,
     make_catalog_map,

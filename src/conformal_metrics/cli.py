@@ -17,7 +17,7 @@ import numpy as np
 
 from . import domains, maps, metrics, verify
 from .domains import Domain
-from .errors import ConformalMetricsError
+from .errors import ConformalMetricsError, at_point
 
 __all__ = ["main", "parse_domain_spec", "parse_complex"]
 
@@ -158,6 +158,16 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+# sweep quantity -> (bound kind giving its constant, power of lambda)
+_SWEEP_BOUNDS = {"ratio": ("thm21", 1), "T": ("osgood_T", 1),
+                 "S": ("lehto_S", 2)}
+
+
+def _quantity_and_density(f, D, z, faults, name):
+    return (verify.quantity(f, D, z, name, faults),
+            domains.checked_density(D, z, faults))
+
+
 def _cmd_sweep(args) -> int:
     D = parse_domain_spec(args.domain)
     f = maps.parse_map_spec(args.map) if args.map else None
@@ -165,23 +175,17 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--quantity {args.quantity} needs --map")
     a, b = float(getattr(args, "from")), float(args.to)
     params = np.linspace(a, b, args.steps)
-    density = domains.hyperbolic_density
-    rows = ["param,value,bound"]
-    for t in params:
-        z = complex(t, 0.0)
-        if args.quantity == "pdisk-ratio":
-            value = verify.punctured_disk_ratio(z)
-            bound = float("inf")
-        elif args.quantity == "ratio":
-            value = verify.distortion_ratio(f, D, z)
-            bound = verify.BOUNDS["thm21"].upper * density(D, z)
-        elif args.quantity == "T":
-            value = abs(verify.pre_schwarzian(f.jet(z)))
-            bound = verify.BOUNDS["osgood_T"].upper * density(D, z)
-        else:  # S
-            value = abs(verify.schwarzian(f.jet(z)))
-            bound = verify.BOUNDS["lehto_S"].upper * density(D, z) ** 2
-        rows.append(f"{_fmt9(t)},{_fmt9(value)},{_fmt9(bound)}")
+    if args.quantity == "pdisk-ratio":
+        values = [verify.punctured_disk_ratio(t) for t in params]
+        bounds = [float("inf")] * len(params)
+    else:
+        kind, power = _SWEEP_BOUNDS[args.quantity]
+        values, lam = at_point(_quantity_and_density, f, D, params,
+                               name=args.quantity)
+        bounds = verify.BOUNDS[kind].upper * lam ** power
+    rows = ["param,value,bound"] + [
+        f"{_fmt9(t)},{_fmt9(v)},{_fmt9(bound)}"
+        for t, v, bound in zip(params, values, bounds)]
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 

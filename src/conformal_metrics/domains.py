@@ -14,14 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    Faults,
-    MapNotUnivalentError,
-    NoDensityRouteError,
-    OutsideDomainError,
-    SingularPointError,
-    at_point,
-)
+from .errors import Faults, OutsideDomainError, SingularPointError, at_point
 
 __all__ = [
     "Domain",
@@ -35,7 +28,6 @@ __all__ = [
     "boundary_distance",
     "hyperbolic_density",
     "pushforward_density",
-    "image_boundary_distance",
     "simply_connected",
 ]
 
@@ -273,11 +265,6 @@ def contains(D: Domain, z: complex) -> bool:
     return bool(contains_vec(D, np.array([complex(z)]))[0])
 
 
-def _require_inside(D: Domain, z: complex):
-    if not contains(D, z):
-        raise outside_error(D, z)
-
-
 def boundary_distance(D: Domain, z: complex) -> float:
     """Euclidean distance from z to the boundary of D (closed forms)."""
     return float(at_point(checked_delta, D, z)[0])
@@ -291,26 +278,10 @@ def hyperbolic_density(D: Domain, z: complex) -> float:
 def pushforward_density(f, base: Domain, z: complex) -> float:
     """lambda of f(base) at the point f(z), via conformal invariance:
     lambda_{f(D)}(f(z)) = lambda_D(z) / |f'(z)|."""
-    _require_inside(base, z)
+    if not contains(base, z):
+        raise outside_error(base, z)
     j = f.jet(z)
     if j.f1 == 0:
         raise SingularPointError(f"f'({z}) = 0")
     return hyperbolic_density(base, z) / abs(j.f1)
 
-
-# ---------------------------------------------------------------------------
-# image boundary distance
-
-def image_boundary_distance(f, base: Domain, z: complex) -> float:
-    """delta of f(base) at f(z), in the catalog image domain of f."""
-    if not f.univalent:
-        raise MapNotUnivalentError(f"{f.kind} is not univalent")
-    if f.image_domain is None:
-        raise no_image_error(f)
-    _require_inside(base, z)
-    return boundary_distance(f.image_domain, f.value(z))
-
-
-def no_image_error(f) -> NoDensityRouteError:
-    return NoDensityRouteError(
-        f"no catalog image domain for {f.describe()}")

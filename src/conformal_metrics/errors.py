@@ -68,13 +68,17 @@ class Faults:
         self.clean &= ~hit
 
 
-def at_point(checked, subject, z: complex):
-    """Evaluate checked(subject, z, faults) at the single point z, raising the
-    error it records there; returns the value as arrays of length 1."""
-    z = np.array([complex(z)])
+def at_point(checked, *args, **kwargs):
+    """Evaluate checked(*args, faults=..., **kwargs), whose last argument z is
+    one point or a 1-d array of points, and raise the error of the first point
+    that has one, as a loop over the points would; returns the values as
+    arrays, of length 1 for a single point."""
+    *lead, z = args
+    z = (np.array([complex(z)]) if np.ndim(z) == 0
+         else np.asarray(z, dtype=complex))
     faults = Faults(z.shape)
     with np.errstate(all="ignore"):
-        value = checked(subject, z, faults)
+        value = checked(*lead, z, faults=faults, **kwargs)
     if faults.errors:
-        raise faults.errors[0]
+        raise faults.errors[min(faults.errors)]
     return value

@@ -19,6 +19,8 @@ from .errors import (
     Faults,
     IncompatibleCompositionError,
     InvalidParameterError,
+    MapNotUnivalentError,
+    NoDensityRouteError,
     OutsideDomainError,
     SingularPointError,
     at_point,
@@ -36,6 +38,7 @@ __all__ = [
     "punctured_disk_covering_map",
     "make_catalog_map",
     "eval_jet",
+    "image_boundary_distance",
     "compose_maps",
     "parse_map_spec",
 ]
@@ -268,6 +271,32 @@ def checked_jet(f: AnalyticMap, z: np.ndarray, faults: Faults) -> JetArray:
 def eval_jet(f: AnalyticMap, z: complex) -> Jet3:
     """Exact Jet3 of f at an interior point of its base domain."""
     return Jet3(*(complex(v[0]) for v in at_point(checked_jet, f, z)))
+
+
+# ---------------------------------------------------------------------------
+# image boundary distance
+
+def checked_image_delta(f: AnalyticMap, base: Domain, z: np.ndarray,
+                        faults: Faults, jet: JetArray | None = None):
+    """delta of f(base) at f(z), in the catalog image domain of f, at every
+    point of z, flagging in `faults` what image_boundary_distance raises at
+    each point.  `jet` is the jet of f at z when the caller has it; its
+    errors are then flagged already."""
+    if not f.univalent:
+        faults.flag(True, MapNotUnivalentError(f"{f.kind} is not univalent"))
+    if f.image_domain is None:
+        faults.flag(True, NoDensityRouteError(
+            f"no catalog image domain for {f.describe()}"))
+        return np.full(z.shape, np.nan)
+    domains.require_inside(base, z, faults)
+    if jet is None:
+        jet = checked_jet(f, z, faults)
+    return domains.checked_delta(f.image_domain, jet.f0, faults)
+
+
+def image_boundary_distance(f: AnalyticMap, base: Domain, z: complex) -> float:
+    """delta of f(base) at f(z), in the catalog image domain of f."""
+    return float(at_point(checked_image_delta, f, base, z)[0])
 
 
 # ---------------------------------------------------------------------------

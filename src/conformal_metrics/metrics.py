@@ -130,8 +130,7 @@ def hyperbolic_distance(D: Domain, z1: complex, z2: complex) -> float:
     if not domains.simply_connected(D):
         raise ValueError(f"hyperbolic distance needs a simply connected "
                          f"domain, got {D}")
-    w1, w2 = (complex(at_point(domains.checked_psi, D, z)[0][0])
-              for z in (z1, z2))
+    w1, w2 = at_point(domains.checked_psi, D, [z1, z2])[0].tolist()
     h = math.asinh(abs(w1 - w2)
                    / (2.0 * math.sqrt(w1.imag) * math.sqrt(w2.imag)))
     if not math.isfinite(h):  # psi, or the ratio, beyond the float range
@@ -197,7 +196,7 @@ def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
         rows.append(i0)
         cols.append(i1)
         weights.append(w)
-    if not rows or not sum(len(r) for r in rows):
+    if not sum(len(r) for r in rows):
         raise NoGridPathError("grid too coarse: no edges inside the domain")
     graph = coo_matrix(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
@@ -319,9 +318,7 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
         history.append(f_cur)
         if not accepted:
             break
-        if len(history) >= 2 and history[-2] - history[-1] < cfg.tolerance * max(
-            f_cur, 1e-300
-        ):
+        if history[-2] - history[-1] < cfg.tolerance * max(f_cur, 1e-300):
             break
     return p, history
 

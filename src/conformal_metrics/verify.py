@@ -7,7 +7,6 @@ witnesses and an explicit violation list.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass, field
@@ -20,10 +19,10 @@ from .domains import Domain
 from .errors import (
     ConformalMetricsError,
     Faults,
-    MapNotUnivalentError,
     NotLocallyUnivalentError,
     OutsideDomainError,
     SingularPointError,
+    at_point,
 )
 from .jets import pre_schwarzian, schwarzian, compose
 from .maps import AnalyticMap
@@ -32,6 +31,7 @@ __all__ = [
     "SampleSet",
     "BoundReport",
     "distortion_ratio",
+    "quantity",
     "check_pointwise_bounds",
     "punctured_disk_ratio",
     "check_distance_comparison",
@@ -194,14 +194,30 @@ class BoundReport:
 def distortion_ratio(f: AnalyticMap, D: Domain, z: complex) -> float:
     """|f'(z)| / delta_{f(D)}(f(z)), the quantity all the sharp bounds
     control."""
-    j = f.jet(z)
-    if j.f1 == 0:
-        raise _critical_point(z)
-    return abs(j.f1) / domains.image_boundary_distance(f, D, z)
+    return float(at_point(quantity, f, D, z, name="ratio")[0])
 
 
-def _critical_point(z) -> SingularPointError:
-    return SingularPointError(f"f'({z}) = 0")
+# the T and S quantities: |T_f| and |S_f|, undefined where f' = 0
+_SIZES = {"T": (pre_schwarzian, jets.PRE_SCHWARZIAN_UNDEFINED),
+          "S": (schwarzian, jets.SCHWARZIAN_UNDEFINED)}
+
+
+def quantity(f: AnalyticMap, D: Domain, z: np.ndarray, name: str,
+             faults: Faults, jet=None) -> np.ndarray:
+    """|f'|/delta of the image ("ratio"), |T_f| ("T") or |S_f| ("S") at every
+    point of z, flagging in `faults` what a scalar evaluation raises at each
+    point: the jet's errors, f' = 0, then those of delta of the image.  `jet`
+    is the jet of f at z when the caller has it; its errors are then flagged
+    already."""
+    if jet is None:
+        jet = maps.checked_jet(f, z, faults)
+    if name == "ratio":
+        faults.flag(jet.f1 == 0, lambda i: SingularPointError(
+            f"f'({complex(z[i])}) = 0"))
+        return np.abs(jet.f1) / maps.checked_image_delta(f, D, z, faults, jet)
+    size, undefined = _SIZES[name]
+    faults.flag(jet.f1 == 0, NotLocallyUnivalentError(undefined))
+    return np.abs(size(jet))
 
 
 def punctured_disk_ratio(z: complex) -> float:
@@ -329,11 +345,6 @@ def _report(kind, constants, z, v, faults, checks,
                        violations, skipped)
 
 
-# the T and S quantities: |T_f| and |S_f|, undefined where f' = 0
-_SIZES = {"T": (pre_schwarzian, jets.PRE_SCHWARZIAN_UNDEFINED),
-          "S": (schwarzian, jets.SCHWARZIAN_UNDEFINED)}
-
-
 def _evaluate(f, D, z, kind, faults):
     """(value, T) of a bound kind at every sample; T is |f''/f'|/lambda for
     cor43 and None otherwise.  Checks are flagged in `faults` in the order
@@ -345,28 +356,9 @@ def _evaluate(f, D, z, kind, faults):
     if bound.quantity is None:
         return bound.value(None, lam, delta), None
     jet = maps.checked_jet(f, z, faults)
-    t = None
-    if bound.quantity == "ratio":  # |f'| / delta of the image
-        faults.flag(jet.f1 == 0, lambda i: _critical_point(complex(z[i])))
-        q = np.abs(jet.f1) / _image_delta(f, D, z, jet, faults)
-        if kind == "cor43":
-            t = np.abs(pre_schwarzian(jet)) / lam
-    else:
-        size, undefined = _SIZES[bound.quantity]
-        faults.flag(jet.f1 == 0, NotLocallyUnivalentError(undefined))
-        q = np.abs(size(jet))
+    q = quantity(f, D, z, bound.quantity, faults, jet)
+    t = np.abs(pre_schwarzian(jet)) / lam if kind == "cor43" else None
     return bound.value(q, lam, delta), t
-
-
-def _image_delta(f, D, z, jet, faults):
-    """domains.image_boundary_distance at every sample, given the jets."""
-    if not f.univalent:
-        faults.flag(True, MapNotUnivalentError(f"{f.kind} is not univalent"))
-    if f.image_domain is None:
-        faults.flag(True, domains.no_image_error(f))
-        return np.full(z.shape, np.nan)
-    domains.require_inside(D, z, faults)
-    return domains.checked_delta(f.image_domain, jet.f0, faults)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +375,7 @@ def check_distance_comparison(f: AnalyticMap, pre_pairs,
     hi_slack = 1e-2 + 4 * cfg.tolerance
     z, v = [], []
     for z1, z2 in pre_pairs:
-        h = metrics.hyperbolic_distance(domains.unit_disk(), z1, z2)
+        h = metrics.hyperbolic_distance(f.base_domain, z1, z2)
         if h == 0.0:
             k = h = 1.0  # coincident pair, by convention
         else:
@@ -406,12 +398,13 @@ def check_log_construction(D: Domain, z0: complex, c: complex = 1.0) -> BoundRep
     """Distortion ratio of f = c Log(z - zeta0) with zeta0 = the slit
     endpoint (the puncture / slit tip of D).
 
-    The image is the half-strip c * {Re w < 0, |Im w| < pi}.  With
-    u = z0 - zeta0:
+    f'(z0) and delta of the image are those of log_slit_map(zeta0, c) on
+    slit_disk(zeta0), whose image is the half-strip
+    c * {Re w < 0, |Im w| < pi}.  With u = z0 - zeta0:
 
     - punctured disk: the slit of the single-valuedness base is taken
-      opposite to z0, so f(z0) lies on the strip's center line and delta of
-      the image is |c| * min(log(1/|u|), pi);
+      opposite to z0, so f is evaluated at zeta0 + |u|, on the strip's
+      center line, where delta of the image is |c| * min(log(1/|u|), pi);
     - slit disk: the slit is fixed along zeta0 + (-1, 0], so f(z0) sits at
       height arg u and delta of the image is
       |c| * min(log(1/|u|), pi - |arg u|).
@@ -432,18 +425,14 @@ def check_log_construction(D: Domain, z0: complex, c: complex = 1.0) -> BoundRep
     if not domains.contains(D, z0):
         raise OutsideDomainError(f"{z0} not interior to {D}")
     zeta0 = D.params[0] if D.kind == "slit_disk" else 0j
-    c = complex(c)
-    if c == 0:
-        raise ValueError("scale c must be nonzero")
-    u = z0 - zeta0
-    fprime = abs(c) / abs(u)
-    half_width = math.pi
-    if D.kind == "slit_disk":
-        half_width -= abs(cmath.phase(u))
-    delta_image = abs(c) * min(math.log(1.0 / abs(u)), half_width)
+    f = maps.log_slit_map(zeta0, c)
+    at = z0 if D.kind == "slit_disk" else zeta0 + abs(z0 - zeta0)
+    fprime = abs(f.jet(at).f1)
+    delta_image = maps.image_boundary_distance(f, f.base_domain, at)
     r = fprime / delta_image
     a = r * domains.boundary_distance(D, z0)
     b = r / domains.hyperbolic_density(D, z0)
+    c = f.params[1]
     constants = {
         "zeta0": [zeta0.real, zeta0.imag],
         "c": [c.real, c.imag],
@@ -513,11 +502,7 @@ def estimate_uniformity_constant(D: Domain, samples: SampleSet) -> float:
     """Empirical Q-hat = max over samples of 1/(lambda_D delta_D); converges
     to the domain constant of uniformity from below (infinite supremum for
     non-uniformly-perfect domains such as the punctured disk)."""
-    z = samples.points(D)
-    faults = Faults(z.shape)
-    with np.errstate(all="ignore"):
-        q = 1.0 / (domains.checked_density(D, z, faults)
-                   * domains.checked_delta(D, z, faults))
-    if faults.errors:
-        raise faults.errors[min(faults.errors)]
+    lam_delta, _ = at_point(_evaluate, None, D, samples.points(D),
+                            kind="lambda_delta")
+    q = 1.0 / lam_delta
     return float(np.max(q, where=q > 0.0, initial=0.0))

@@ -167,6 +167,23 @@ def test_sweep_without_map_is_usage_error(capsys, quantity):
     assert err == f"error: --quantity {quantity} needs --map\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the range ends on the base domain's boundary
+    (("ratio", "--map", "koebe", "--from", "0", "--to", "1", "--steps", "11"),
+     "(1+0j) outside base domain of koebe"),
+    # z = 1 fails at its density, a later check than the f' = 0 of z = 0
+    (("T", "--map", "power:2", "--from", "1", "--to", "0", "--steps", "3"),
+     "(1+0j) is not an interior point of Domain(unit_disk)"),
+    (("S", "--map", "power:2", "--from", "0", "--to", "1", "--steps", "3"),
+     "Schwarzian undefined: f' = 0"),
+])
+def test_sweep_reports_its_first_failing_point(capsys, argv, message):
+    code, out, err = run(capsys, "sweep", "--quantity", *argv,
+                         "--domain", "disk")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_path_option_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--quantity", "pdisk-ratio", "--domain", "pdisk",

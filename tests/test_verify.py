@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conformal_metrics import (
     BOUND_KINDS,
     ConformalMetricsError,
+    MapNotUnivalentError,
+    NoDensityRouteError,
     NotLocallyUnivalentError,
     OutsideDomainError,
     SampleSet,
@@ -22,9 +24,11 @@ from conformal_metrics import (
     check_log_construction,
     check_pointwise_bounds,
     compose_maps,
+    contains,
     distortion_ratio,
     estimate_uniformity_constant,
     hyperbolic_density,
+    hyperbolic_distance,
     identity_map,
     koebe_map,
     koebe_slit_plane,
@@ -40,6 +44,8 @@ from conformal_metrics import (
     unit_disk,
     upper_half_plane,
 )
+from conformal_metrics.errors import at_point
+from conformal_metrics.verify import quantity
 from helpers import lambda_lower_violation_witness, random_map_pair
 
 
@@ -66,7 +72,6 @@ def test_sample_strategies_land_where_claimed():
 
 
 def test_samples_pushed_into_each_domain():
-    from conformal_metrics import contains
     for D in (upper_half_plane(), koebe_slit_plane(), slit_disk(0)):
         for z in S.points(D):
             assert contains(D, z)
@@ -91,6 +96,39 @@ def test_koebe_ratio_on_positive_axis_is_4_lambda():
         assert distortion_ratio(f, unit_disk(), x) == pytest.approx(
             4 * lam, rel=1e-9
         )
+
+
+def test_at_point_over_an_array_gives_the_scalar_values():
+    f, D = koebe_map(), unit_disk()
+    z = [0.5, 0.1 - 0.3j, -0.7j]
+    got = at_point(quantity, f, D, z, name="ratio")
+    assert got.tolist() == [distortion_ratio(f, D, w) for w in z]
+    assert at_point(quantity, f, D, 0.5, name="ratio").shape == (1,)
+
+
+@pytest.mark.parametrize("f, D, points, error, message", [
+    # 0.5 leaves D, a check made after the jet; 2.0 leaves koebe's base
+    # domain, the jet's own check
+    (koebe_map(), upper_half_plane(), [0.5j, 0.5, 2.0], OutsideDomainError,
+     "(0.5+0j) is not an interior point of Domain(upper_half_plane)"),
+    (koebe_map(), upper_half_plane(), [0.5j, 2.0, 0.5], OutsideDomainError,
+     "(2+0j) outside base domain of koebe"),
+    # 0.5 fails at univalence, 0 at the earlier f' = 0
+    (power_map(2), unit_disk(), [0.5, 0j], MapNotUnivalentError,
+     "power is not univalent"),
+    (power_map(2), unit_disk(), [0j, 0.5], SingularPointError,
+     "f'(0j) = 0"),
+])
+def test_at_point_raises_the_first_failing_points_error(f, D, points, error,
+                                                        message):
+    with pytest.raises(error) as exc:
+        at_point(quantity, f, D, points, name="ratio")
+    assert str(exc.value) == message
+    # as a loop over the points raises
+    with pytest.raises(error) as exc:
+        for z in points:
+            distortion_ratio(f, D, z)
+    assert str(exc.value) == message
 
 
 def test_punctured_disk_ratio_values():
@@ -268,6 +306,18 @@ def test_distance_comparison_identity_and_mobius():
         assert rep.max_ratio <= 4 + 1e-2
 
 
+def test_distance_comparison_takes_h_on_the_base_domain():
+    # log_slit_map(0, 1) lives on the slit disk: h there is 2.318, while h
+    # on the unit disk, 1.108, would report k/h = 3.50
+    f = log_slit_map(0, 1)
+    z1, z2 = 0.5, -0.5 + 0.1j
+    h = hyperbolic_distance(slit_disk(0), z1, z2)
+    assert h == pytest.approx(2.318, abs=1e-3)
+    rep = check_distance_comparison(f, [(z1, z2)])
+    assert rep.passed
+    assert rep.min_ratio == pytest.approx(3.883 / h, rel=1e-3)
+
+
 def test_distance_comparison_coincident_pair():
     rep = check_distance_comparison(identity_map(), [(0.3, 0.3)])
     assert rep.min_ratio == rep.max_ratio == 1.0
@@ -313,13 +363,14 @@ def test_log_construction_near_outer_boundary_is_order_one():
 def test_log_construction_slit_disk_matches_log_slit_map(zeta0, c, u):
     # the slit of slit_disk is fixed along zeta0 + (-1, 0], so off the axis
     # f(z0) leaves the strip's center line and delta_image shrinks to
-    # |c| (pi - |arg u|); the log_slit_map route measures the same image
+    # |c| (pi - |arg u|), so |f'|/delta_image is
+    # 1/(|u| min(log 1/|u|, pi - |arg u|))
     D = slit_disk(zeta0)
     z0 = zeta0 + u
     b = check_log_construction(D, z0, c).constants["ratio_over_lambda"]
-    via_map = (distortion_ratio(log_slit_map(zeta0, c), D, z0)
-               / hyperbolic_density(D, z0))
-    assert b == pytest.approx(via_map, rel=1e-12)
+    r = 1.0 / (abs(u) * min(math.log(1.0 / abs(u)),
+                            math.pi - abs(cmath.phase(u))))
+    assert b == pytest.approx(r / hyperbolic_density(D, z0), rel=1e-12)
     # c Log is univalent on the simply connected slit disk: thm21 window
     assert 1.0 <= b <= 4.0
 
@@ -407,6 +458,21 @@ _LAMBDA_KINDS = {"thm21", "thm41", "cor43", "lambda_delta", "osgood_T",
 _DELTA_KINDS = {"lemma31", "lambda_delta", "osgood_T_delta", "gehring_S"}
 
 
+def _reference_ratio(f, D, z):
+    """|f'|/delta of the image, one check at a time in the library's order."""
+    j = f.jet(z)
+    if j.f1 == 0:
+        raise SingularPointError(f"f'({z}) = 0")
+    if not f.univalent:
+        raise MapNotUnivalentError(f"{f.kind} is not univalent")
+    if f.image_domain is None:
+        raise NoDensityRouteError(
+            f"no catalog image domain for {f.describe()}")
+    if not contains(D, z):
+        raise OutsideDomainError(f"{z} is not an interior point of {D}")
+    return abs(j.f1) / boundary_distance(f.image_domain, f.value(z))
+
+
 def _reference_check(f, D, samples, kind):
     """check_pointwise_bounds as one scalar evaluation per sample: the
     values as (v, z), the skipped samples and the cor43 T values."""
@@ -420,14 +486,14 @@ def _reference_check(f, D, samples, kind):
             if kind == "lambda_delta":
                 v = lam * delta
             elif kind in ("thm21", "thm41", "cor43"):
-                v = distortion_ratio(f, D, z) / lam
+                v = _reference_ratio(f, D, z) / lam
                 if kind == "cor43":
                     t_values.append(
                         (abs(pre_schwarzian(f.jet(z))) / lam, z))
             elif kind == "lemma31":
-                v = distortion_ratio(f, D, z) * delta
+                v = _reference_ratio(f, D, z) * delta
             elif kind == "koebe_distortion":
-                v = lam / distortion_ratio(f, D, z)
+                v = lam / _reference_ratio(f, D, z)
             elif kind == "osgood_T":
                 v = abs(pre_schwarzian(f.jet(z))) / lam
             elif kind == "osgood_T_delta":
