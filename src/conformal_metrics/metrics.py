@@ -5,6 +5,7 @@ uniformizer, Gauss-Legendre line quadrature of densities, and a two-stage
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,18 +84,25 @@ def _weight_fn(density: str, D: Domain):
     raise ValueError("density must be 'hyperbolic' or 'quasihyperbolic'")
 
 
+@functools.lru_cache(maxsize=8)
 def _panel_nodes(panels: int):
+    """Composite GL4 nodes and weights on [0, 1]; read-only, as every caller
+    shares them."""
     k = np.arange(panels)[:, None]
     t = ((k + _GL_NODES[None, :]) / panels).ravel()
     w = np.tile(_GL_WEIGHTS / panels, panels)
+    t.flags.writeable = w.flags.writeable = False
     return t, w
 
 
 def _segment_costs(weight, a: np.ndarray, b: np.ndarray, panels: int,
                    D: Domain | None = None) -> np.ndarray:
-    """Composite GL4 quadrature of `weight` along segments a[i] -> b[i]."""
+    """Composite GL4 quadrature of `weight` along segments a[..., i] ->
+    b[..., i].  Stacked segment lists cost one pass, and each list's costs
+    equal those of its own call bit for bit: the stacked `@ w` runs one
+    gemv per list (a flat (rows, nodes) product would round differently)."""
     t, w = _panel_nodes(panels)
-    z = a[:, None] + (b - a)[:, None] * t[None, :]
+    z = a[..., None] + (b - a)[..., None] * t
     if D is not None and not np.all(domains.contains_vec(D, z)):
         raise OutsideDomainError("path exits domain at a quadrature node")
     return np.abs(b - a) * (weight(z) @ w)
@@ -143,9 +151,8 @@ def hyperbolic_distance(D: Domain, z1: complex, z2: complex) -> float:
 # quasihyperbolic geodesic solver
 
 def _grid_box(D: Domain, z1: complex, z2: complex):
-    box = domains.bounding_box(D)
-    if box is not None:
-        return box
+    """The grid's box on an unbounded domain: the endpoints' bounding box,
+    padded."""
     pad = abs(z1 - z2) + 2.0 * max(
         domains.boundary_distance(D, z1), domains.boundary_distance(D, z2)
     )
@@ -156,15 +163,21 @@ def _grid_box(D: Domain, z1: complex, z2: complex):
     return xmin, xmax, ymin, ymax
 
 
-def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
-                   cfg: SolverConfig) -> np.ndarray:
-    # scipy is imported by the solver stages only, so that a process that
-    # never solves does not pay for loading it.
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
+# The 8-neighbour grid's forward edges as (row step, column step), in the
+# order of their CSR column offsets +1, +n-1, +n, +n+1.  Dijkstra breaks
+# ties by the order of a row's columns.
+_FORWARD_STEPS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
-    n = cfg.grid_resolution
-    xmin, xmax, ymin, ymax = _grid_box(D, z1, z2)
+
+def _grid_graph(D: Domain, box, n: int):
+    """(graph, nodes, valid) of the n x n grid on box: node (i, j) is
+    nodes[i * n + j]; graph is the CSR matrix of the forward edges between
+    valid nodes whose midpoint lies in D, weighted by Euclidean length /
+    delta at the midpoint.  The arrays are read-only, as the graph of a
+    bounded domain is shared by its solves."""
+    from scipy.sparse import csr_matrix
+
+    xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, n)
     ys = np.linspace(ymin, ymax, n)
     cell = max(xs[1] - xs[0], ys[1] - ys[0])
@@ -177,31 +190,59 @@ def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
     d[valid] = domains.delta_vec(D, nodes[valid])
     valid &= d > 0.5 * cell
 
-    flat = nodes.ravel()
-    vflat = valid.ravel()
-    idx = np.arange(n * n)
-
-    rows, cols, weights = [], [], []
+    has = np.zeros((n, n, len(_FORWARD_STEPS)), dtype=bool)
+    cost = np.zeros(has.shape)
+    degree = np.zeros((n, n), dtype=np.int32)
     weightf = _weight_fn("quasihyperbolic", D)
-    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        src = idx.reshape(n, n)
-        i0 = src[max(0, -di): n - max(0, di), max(0, -dj): n - max(0, dj)].ravel()
-        i1 = i0 + di * n + dj
-        ok = vflat[i0] & vflat[i1]
-        i0, i1 = i0[ok], i1[ok]
-        mids = 0.5 * (flat[i0] + flat[i1])
+    for step, (di, dj) in enumerate(_FORWARD_STEPS):
+        here = (slice(max(0, -di), n - max(0, di)),
+                slice(max(0, -dj), n - max(0, dj)))
+        there = (slice(max(0, di), n - max(0, -di)),
+                 slice(max(0, dj), n - max(0, -dj)))
+        edge = valid[here] & valid[there]
+        a, b = nodes[here][edge], nodes[there][edge]
+        mids = 0.5 * (a + b)
         inside = domains.contains_vec(D, mids)
-        i0, i1, mids = i0[inside], i1[inside], mids[inside]
-        w = np.abs(flat[i1] - flat[i0]) * weightf(mids)
-        rows.append(i0)
-        cols.append(i1)
-        weights.append(w)
-    if not sum(len(r) for r in rows):
+        edge[edge] = inside
+        has[here + (step,)] = edge
+        cost[here + (step,)][edge] = (np.abs(b - a)[inside]
+                                      * weightf(mids[inside]))
+        degree[here] += edge
+    if not degree.any():
         raise NoGridPathError("grid too coarse: no edges inside the domain")
-    graph = coo_matrix(
-        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n),
-    )
+    # masks select in row-major order: by node, then by step
+    columns = (np.arange(n * n, dtype=np.int32).reshape(n, n, 1)
+               + np.array([di * n + dj for di, dj in _FORWARD_STEPS],
+                          dtype=np.int32))
+    indptr = np.zeros(n * n + 1, dtype=np.int32)
+    np.cumsum(degree, out=indptr[1:])
+    graph = csr_matrix((cost[has], columns[has], indptr), shape=(n * n, n * n))
+    flat, vflat = nodes.ravel(), valid.ravel()
+    for arr in (graph.data, graph.indices, graph.indptr, flat, vflat):
+        arr.flags.writeable = False
+    return graph, flat, vflat
+
+
+@functools.lru_cache(maxsize=1)
+def _bounded_grid_graph(D: Domain, n: int):
+    """_grid_graph on D's bounding box.  The box, and so the graph, depends
+    on D and n only, so consecutive solves in one bounded domain build it
+    once; one entry (about 2.3 MB at n = 200)."""
+    return _grid_graph(D, domains.bounding_box(D), n)
+
+
+def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
+                   cfg: SolverConfig) -> np.ndarray:
+    # scipy is imported by the solver stages only, so that a process that
+    # never solves does not pay for loading it.
+    from scipy.sparse.csgraph import dijkstra
+
+    n = cfg.grid_resolution
+    # an unbounded domain's box follows the endpoints: nothing to reuse
+    if domains.bounding_box(D) is None:
+        graph, flat, vflat = _grid_graph(D, _grid_box(D, z1, z2), n)
+    else:
+        graph, flat, vflat = _bounded_grid_graph(D, n)
 
     def snap(z):
         dist2 = np.abs(flat - z)
@@ -258,41 +299,42 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
     weight = _weight_fn("quasihyperbolic", D)
     panels = cfg.quad_panels_per_segment
 
-    def total(q):
-        return float(np.sum(_segment_costs(weight, q[:-1], q[1:], panels)))
+    def costs(q):
+        return _segment_costs(weight, q[:-1], q[1:], panels)
 
+    c_cur = costs(p)
+    f_cur = float(np.sum(c_cur))
     if len(p) < 3:
-        f = total(p)
-        return p, [f]
+        return p, [f_cur]
 
     h = 1e-7 * max(1.0, float(np.max(np.abs(np.diff(p)))))
     lr = 1.0
-    f_cur = total(p)
     history = [f_cur]
     for _ in range(cfg.relax_iterations):
         a, b = p[:-1], p[1:]
-        c0 = _segment_costs(weight, a, b, panels)
-        clx = _segment_costs(weight, a + h, b, panels)
-        crx = _segment_costs(weight, a, b + h, panels)
-        cly = _segment_costs(weight, a + 1j * h, b, panels)
-        cry = _segment_costs(weight, a, b + 1j * h, panels)
-        gx = (crx[:-1] - c0[:-1] + clx[1:] - c0[1:]) / h
-        gy = (cry[:-1] - c0[:-1] + cly[1:] - c0[1:]) / h
+        # the segment costs with the left or the right end moved by h along
+        # x, then along y, in one call
+        clx, crx, cly, cry = _segment_costs(
+            weight, np.stack([a + h, a, a + 1j * h, a]),
+            np.stack([b, b + h, b, b + 1j * h]), panels)
+        gx = (crx[:-1] - c_cur[:-1] + clx[1:] - c_cur[1:]) / h
+        gy = (cry[:-1] - c_cur[:-1] + cly[1:] - c_cur[1:]) / h
         g = gx + 1j * gy
         gnorm = np.abs(g)
         if not np.any(gnorm > 0):
             break
         # Spring constants: mean weight on each segment over its length.
         seg = np.abs(b - a)
-        k = c0 / seg ** 2
+        k = c_cur / seg ** 2
         n_int = len(p) - 2
         band = np.zeros((3, n_int))
         band[1] = k[:-1] + k[1:]
         band[0, 1:] = -k[1:-1]
         band[2, :-1] = -k[1:-1]
         try:
-            g = (solve_banded((1, 1), band, g.real)
-                 + 1j * solve_banded((1, 1), band, g.imag))
+            # both right-hand sides in one solve, each column as if alone
+            x = solve_banded((1, 1), band, np.column_stack([g.real, g.imag]))
+            g = x[:, 0] + 1j * x[:, 1]
         except np.linalg.LinAlgError:
             pass  # fall back to the raw gradient for this iteration
         cap = cfg.relax_step * domains.delta_vec(D, p[1:-1])
@@ -308,9 +350,10 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
             if np.all(domains.contains_vec(D, trial[1:-1])) and np.all(
                 domains.delta_vec(D, trial[1:-1]) > 1e-12
             ):
-                f_new = total(trial)
+                c_new = costs(trial)
+                f_new = float(np.sum(c_new))
                 if f_new < f_cur:
-                    p, f_cur = trial, f_new
+                    p, c_cur, f_cur = trial, c_new, f_new
                     accepted = True
                     lr = min(lr * 1.5, 1.0)
                     break

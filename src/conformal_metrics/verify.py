@@ -371,6 +371,8 @@ def check_distance_comparison(f: AnalyticMap, pre_pairs,
     cfg = cfg or metrics.SolverConfig()
     if f.image_domain is None:
         raise ValueError("distance comparison needs a closed-form image domain")
+    if not f.univalent:
+        raise ValueError("kind/domain mismatch: thm21 needs a univalent map")
     lo_slack = 1e-3 + 4 * cfg.tolerance
     hi_slack = 1e-2 + 4 * cfg.tolerance
     z, v = [], []

@@ -22,6 +22,7 @@ from conformal_metrics import (
     punctured_disk,
     quasihyperbolic_distance,
     quasihyperbolic_distance_detailed,
+    slit_disk,
     unit_disk,
     upper_half_plane,
 )
@@ -216,3 +217,199 @@ def test_resample_matches_the_loop(m):
     assert metrics._resample(p, m).tobytes() == _resample_loop(p, m).tobytes()
     same = np.full(5, 0.3 + 0.1j)
     assert metrics._resample(same, m).tobytes() == same.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# solver exactness: the grid graph, the stacked quadrature, the graph cache
+# and the relaxation reproduce the straightforward construction bit for bit
+
+_GRID_CASES = [
+    (unit_disk(), 0.5 + 0.5j, -0.3 + 0.6j),
+    (punctured_disk(), 0.7, -0.7),
+    (slit_disk(0.25 + 0.125j), -0.25 + 0.225j, -0.25 + 0.025j),
+    (upper_half_plane(), 0.5 + 1j, 3 + 0.2j),
+    (koebe_slit_plane(), -2 + 0.5j, -2 - 0.5j),
+    (log_strip(1), -1 + 2j, -1 - 2j),
+]
+
+
+def _grid_reference(D, box, n):
+    """The grid graph as a COO matrix converted by scipy, one block of
+    edges per step direction."""
+    from scipy.sparse import coo_matrix
+
+    xmin, xmax, ymin, ymax = box
+    xs, ys = np.linspace(xmin, xmax, n), np.linspace(ymin, ymax, n)
+    cell = max(xs[1] - xs[0], ys[1] - ys[0])
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    flat = (gx + 1j * gy).ravel()
+    vflat = metrics.domains.contains_vec(D, flat)
+    d = np.full(flat.shape, np.nan)
+    d[vflat] = metrics.domains.delta_vec(D, flat[vflat])
+    vflat &= d > 0.5 * cell
+    idx = np.arange(n * n).reshape(n, n)
+    rows, cols, weights = [], [], []
+    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        i0 = idx[max(0, -di): n - max(0, di),
+                 max(0, -dj): n - max(0, dj)].ravel()
+        i1 = i0 + di * n + dj
+        ok = vflat[i0] & vflat[i1]
+        i0, i1 = i0[ok], i1[ok]
+        mids = 0.5 * (flat[i0] + flat[i1])
+        inside = metrics.domains.contains_vec(D, mids)
+        i0, i1, mids = i0[inside], i1[inside], mids[inside]
+        rows.append(i0)
+        cols.append(i1)
+        weights.append(np.abs(flat[i1] - flat[i0])
+                       * (1.0 / metrics.domains.delta_vec(D, mids)))
+    graph = coo_matrix((np.concatenate(weights),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n * n, n * n))
+    return graph.tocsr(), flat, vflat
+
+
+@pytest.mark.parametrize("D, z1, z2", _GRID_CASES,
+                         ids=[D.kind for D, _, _ in _GRID_CASES])
+def test_grid_graph_matches_the_coo_construction(D, z1, z2):
+    n = 40
+    box = metrics.domains.bounding_box(D)
+    if box is None:
+        box = metrics._grid_box(D, complex(z1), complex(z2))
+    got, flat, vflat = metrics._grid_graph(D, box, n)
+    want, want_flat, want_vflat = _grid_reference(D, box, n)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert flat.tobytes() == want_flat.tobytes()
+    assert np.array_equal(vflat, want_vflat)
+
+
+def test_stacked_segment_costs_equal_separate_calls():
+    weight = metrics._weight_fn("quasihyperbolic", unit_disk())
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 127):
+        a, b = (0.6 * (rng.random((4, m)) - 0.5)
+                + 0.6j * (rng.random((4, m)) - 0.5) for _ in range(2))
+        got = metrics._segment_costs(weight, a, b, 16)
+        for i in range(4):
+            want = metrics._segment_costs(weight, a[i], b[i], 16)
+            assert got[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("D, z1, z2", _GRID_CASES[:2],
+                         ids=[D.kind for D, _, _ in _GRID_CASES[:2]])
+def test_warm_graph_cache_gives_the_cold_solve(D, z1, z2):
+    cache = metrics._bounded_grid_graph
+    cache.cache_clear()
+    cold = quasihyperbolic_distance_detailed(D, z1, z2)
+    hits = cache.cache_info().hits
+    quasihyperbolic_distance_detailed(D, -0.1 + 0.2j, 0.3 - 0.4j)
+    warm = quasihyperbolic_distance_detailed(D, z1, z2)
+    assert cache.cache_info().hits == hits + 2
+    assert warm[0] == cold[0]
+    assert warm[1].points == cold[1].points
+    assert warm[2] == cold[2]
+    # another resolution takes the one entry over
+    quasihyperbolic_distance_detailed(D, z1, z2, SolverConfig(grid_resolution=50))
+    assert cache.cache_info().currsize == 1
+
+
+def _relax_reference(D, p, cfg):
+    """The relaxation with one quadrature call per perturbed path and one
+    banded solve per right-hand side."""
+    from scipy.linalg import solve_banded
+
+    weight = metrics._weight_fn("quasihyperbolic", D)
+    panels = cfg.quad_panels_per_segment
+
+    def costs(q):
+        return metrics._segment_costs(weight, q[:-1], q[1:], panels)
+
+    h = 1e-7 * max(1.0, float(np.max(np.abs(np.diff(p)))))
+    lr, f_cur = 1.0, float(np.sum(costs(p)))
+    history = [f_cur]
+    for _ in range(cfg.relax_iterations):
+        a, b = p[:-1], p[1:]
+        c0 = costs(p)
+        clx, crx, cly, cry = (
+            metrics._segment_costs(weight, a + h, b, panels),
+            metrics._segment_costs(weight, a, b + h, panels),
+            metrics._segment_costs(weight, a + 1j * h, b, panels),
+            metrics._segment_costs(weight, a, b + 1j * h, panels))
+        g = ((crx[:-1] - c0[:-1] + clx[1:] - c0[1:]) / h
+             + 1j * ((cry[:-1] - c0[:-1] + cly[1:] - c0[1:]) / h))
+        if not np.any(np.abs(g) > 0):
+            break
+        k = c0 / np.abs(b - a) ** 2
+        band = np.zeros((3, len(p) - 2))
+        band[1] = k[:-1] + k[1:]
+        band[0, 1:] = -k[1:-1]
+        band[2, :-1] = -k[1:-1]
+        g = (solve_banded((1, 1), band, g.real)
+             + 1j * solve_banded((1, 1), band, g.imag))
+        cap = cfg.relax_step * metrics.domains.delta_vec(D, p[1:-1])
+        accepted = False
+        while lr > 1e-14:
+            disp = -g * lr
+            mag = np.abs(disp)
+            over = mag > cap
+            disp[over] *= cap[over] / mag[over]
+            trial = p.copy()
+            trial[1:-1] = p[1:-1] + disp
+            if np.all(metrics.domains.contains_vec(D, trial[1:-1])) and np.all(
+                    metrics.domains.delta_vec(D, trial[1:-1]) > 1e-12):
+                f_new = float(np.sum(costs(trial)))
+                if f_new < f_cur:
+                    p, f_cur, accepted = trial, f_new, True
+                    lr = min(lr * 1.5, 1.0)
+                    break
+            lr *= 0.5
+        history.append(f_cur)
+        if not accepted or (history[-2] - history[-1]
+                            < cfg.tolerance * max(f_cur, 1e-300)):
+            break
+    return p, history
+
+
+@pytest.mark.parametrize("D, z1, z2", _GRID_CASES,
+                         ids=[D.kind for D, _, _ in _GRID_CASES])
+def test_relax_matches_the_reference(D, z1, z2):
+    cfg = SolverConfig()
+    p = metrics._resample(metrics._grid_dijkstra(D, z1, z2, cfg), 32)
+    got, want = metrics._relax(D, p, cfg), _relax_reference(D, p, cfg)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1]
+
+
+def test_three_node_path_relaxes_through_the_one_node_solve():
+    # one interior node: the banded system is 1 x 1
+    D, cfg = unit_disk(), SolverConfig()
+    p = np.array([-0.5, 0.3j, 0.5])
+    got, hist = metrics._relax(D, p, cfg)
+    assert len(hist) > 2 and hist[-1] < hist[0]
+    assert abs(got[1]) < 0.3      # pulled towards the diameter
+    want = _relax_reference(D, p, cfg)
+    assert got.tobytes() == want[0].tobytes() and hist == want[1]
+
+
+# k and the length of the objective history, as the solver gave them before
+# its speed-up; any change to the solver's numerics shows here
+_GOLDEN = [
+    ("disk", unit_disk(), 0.5 + 0.5j, -0.3 + 0.6j, 1.8740684193388202, 5),
+    ("pdisk", punctured_disk(), 0.7, -0.7, 3.86798033220328, 17),
+    ("uhp", upper_half_plane(), 0.5 + 1j, 3 + 0.2j, 3.5952369910059314, 6),
+    ("uhp rho=1e2", upper_half_plane(), 0.001j, 0.2 + 0.001j,
+     10.59697652269446, 7),
+    ("koebe", koebe_slit_plane(), -2 + 0.5j, -2 - 0.5j, 7.080322440853682, 70),
+    ("slit-disk", slit_disk(0.25 + 0.125j), 0.25 + 0.125j + (-0.5 + 0.1j),
+     0.25 + 0.125j + (-0.5 - 0.1j), 7.767839088643846, 12),
+    ("log-strip", log_strip(1), -1 + 2j, -1 - 2j, 2.8875708919571683, 9),
+]
+
+
+@pytest.mark.parametrize("name, D, z1, z2, k, iterations", _GOLDEN,
+                         ids=[g[0] for g in _GOLDEN])
+def test_solver_golden_values(name, D, z1, z2, k, iterations):
+    value, _, history = quasihyperbolic_distance_detailed(D, z1, z2)
+    assert value == pytest.approx(k, rel=1e-12, abs=0)
+    assert len(history) == iterations

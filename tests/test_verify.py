@@ -318,6 +318,15 @@ def test_distance_comparison_takes_h_on_the_base_domain():
     assert rep.min_ratio == pytest.approx(3.883 / h, rel=1e-3)
 
 
+def test_distance_comparison_needs_a_univalent_map():
+    # thm21's window holds for univalent maps only: the covering of the
+    # punctured disk would report k/h = 6.13 at z = 0 as a violation
+    with pytest.raises(ValueError, match="kind/domain mismatch: thm21 needs "
+                                         "a univalent map"):
+        check_distance_comparison(punctured_disk_covering_map(),
+                                  [(0, 0.9), (0.3, -0.3)])
+
+
 def test_distance_comparison_coincident_pair():
     rep = check_distance_comparison(identity_map(), [(0.3, 0.3)])
     assert rep.min_ratio == rep.max_ratio == 1.0
