@@ -163,19 +163,13 @@ def _grid_box(D: Domain, z1: complex, z2: complex):
     return xmin, xmax, ymin, ymax
 
 
-# The 8-neighbour grid's forward edges as (row step, column step), in the
-# order of their CSR column offsets +1, +n-1, +n, +n+1.  Dijkstra breaks
-# ties by the order of a row's columns.
-_FORWARD_STEPS = ((0, 1), (1, -1), (1, 0), (1, 1))
-
-
 def _grid_graph(D: Domain, box, n: int):
     """(graph, nodes, valid) of the n x n grid on box: node (i, j) is
-    nodes[i * n + j]; graph is the CSR matrix of the forward edges between
-    valid nodes whose midpoint lies in D, weighted by Euclidean length /
-    delta at the midpoint.  The arrays are read-only, as the graph of a
-    bounded domain is shared by its solves."""
-    from scipy.sparse import csr_matrix
+    nodes[i * n + j]; graph is the CSR matrix of the 8-neighbour edges
+    between valid nodes whose midpoint lies in D, weighted by Euclidean
+    length / delta at the midpoint.  The arrays are read-only, as the graph
+    of a bounded domain is shared by its solves."""
+    from scipy.sparse import coo_matrix
 
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, n)
@@ -190,34 +184,33 @@ def _grid_graph(D: Domain, box, n: int):
     d[valid] = domains.delta_vec(D, nodes[valid])
     valid &= d > 0.5 * cell
 
-    has = np.zeros((n, n, len(_FORWARD_STEPS)), dtype=bool)
-    cost = np.zeros(has.shape)
-    degree = np.zeros((n, n), dtype=np.int32)
+    flat = nodes.ravel()
+    vflat = valid.ravel()
+    idx = np.arange(n * n)
+
+    rows, cols, weights = [], [], []
     weightf = _weight_fn("quasihyperbolic", D)
-    for step, (di, dj) in enumerate(_FORWARD_STEPS):
-        here = (slice(max(0, -di), n - max(0, di)),
-                slice(max(0, -dj), n - max(0, dj)))
-        there = (slice(max(0, di), n - max(0, -di)),
-                 slice(max(0, dj), n - max(0, -dj)))
-        edge = valid[here] & valid[there]
-        a, b = nodes[here][edge], nodes[there][edge]
-        mids = 0.5 * (a + b)
+    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        src = idx.reshape(n, n)
+        i0 = src[max(0, -di): n - max(0, di), max(0, -dj): n - max(0, dj)].ravel()
+        i1 = i0 + di * n + dj
+        ok = vflat[i0] & vflat[i1]
+        i0, i1 = i0[ok], i1[ok]
+        mids = 0.5 * (flat[i0] + flat[i1])
         inside = domains.contains_vec(D, mids)
-        edge[edge] = inside
-        has[here + (step,)] = edge
-        cost[here + (step,)][edge] = (np.abs(b - a)[inside]
-                                      * weightf(mids[inside]))
-        degree[here] += edge
-    if not degree.any():
+        i0, i1, mids = i0[inside], i1[inside], mids[inside]
+        w = np.abs(flat[i1] - flat[i0]) * weightf(mids)
+        rows.append(i0)
+        cols.append(i1)
+        weights.append(w)
+    if not sum(len(r) for r in rows):
         raise NoGridPathError("grid too coarse: no edges inside the domain")
-    # masks select in row-major order: by node, then by step
-    columns = (np.arange(n * n, dtype=np.int32).reshape(n, n, 1)
-               + np.array([di * n + dj for di, dj in _FORWARD_STEPS],
-                          dtype=np.int32))
-    indptr = np.zeros(n * n + 1, dtype=np.int32)
-    np.cumsum(degree, out=indptr[1:])
-    graph = csr_matrix((cost[has], columns[has], indptr), shape=(n * n, n * n))
-    flat, vflat = nodes.ravel(), valid.ravel()
+    # the CSR form that dijkstra would otherwise build from the COO on
+    # every call
+    graph = coo_matrix(
+        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n * n, n * n),
+    ).tocsr()
     for arr in (graph.data, graph.indices, graph.indptr, flat, vflat):
         arr.flags.writeable = False
     return graph, flat, vflat

@@ -220,8 +220,8 @@ def test_resample_matches_the_loop(m):
 
 
 # ---------------------------------------------------------------------------
-# solver exactness: the grid graph, the stacked quadrature, the graph cache
-# and the relaxation reproduce the straightforward construction bit for bit
+# solver exactness: the stacked quadrature, the graph cache and the
+# relaxation reproduce the straightforward construction bit for bit
 
 _GRID_CASES = [
     (unit_disk(), 0.5 + 0.5j, -0.3 + 0.6j),
@@ -231,57 +231,6 @@ _GRID_CASES = [
     (koebe_slit_plane(), -2 + 0.5j, -2 - 0.5j),
     (log_strip(1), -1 + 2j, -1 - 2j),
 ]
-
-
-def _grid_reference(D, box, n):
-    """The grid graph as a COO matrix converted by scipy, one block of
-    edges per step direction."""
-    from scipy.sparse import coo_matrix
-
-    xmin, xmax, ymin, ymax = box
-    xs, ys = np.linspace(xmin, xmax, n), np.linspace(ymin, ymax, n)
-    cell = max(xs[1] - xs[0], ys[1] - ys[0])
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    flat = (gx + 1j * gy).ravel()
-    vflat = metrics.domains.contains_vec(D, flat)
-    d = np.full(flat.shape, np.nan)
-    d[vflat] = metrics.domains.delta_vec(D, flat[vflat])
-    vflat &= d > 0.5 * cell
-    idx = np.arange(n * n).reshape(n, n)
-    rows, cols, weights = [], [], []
-    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        i0 = idx[max(0, -di): n - max(0, di),
-                 max(0, -dj): n - max(0, dj)].ravel()
-        i1 = i0 + di * n + dj
-        ok = vflat[i0] & vflat[i1]
-        i0, i1 = i0[ok], i1[ok]
-        mids = 0.5 * (flat[i0] + flat[i1])
-        inside = metrics.domains.contains_vec(D, mids)
-        i0, i1, mids = i0[inside], i1[inside], mids[inside]
-        rows.append(i0)
-        cols.append(i1)
-        weights.append(np.abs(flat[i1] - flat[i0])
-                       * (1.0 / metrics.domains.delta_vec(D, mids)))
-    graph = coo_matrix((np.concatenate(weights),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n * n, n * n))
-    return graph.tocsr(), flat, vflat
-
-
-@pytest.mark.parametrize("D, z1, z2", _GRID_CASES,
-                         ids=[D.kind for D, _, _ in _GRID_CASES])
-def test_grid_graph_matches_the_coo_construction(D, z1, z2):
-    n = 40
-    box = metrics.domains.bounding_box(D)
-    if box is None:
-        box = metrics._grid_box(D, complex(z1), complex(z2))
-    got, flat, vflat = metrics._grid_graph(D, box, n)
-    want, want_flat, want_vflat = _grid_reference(D, box, n)
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert got.data.tobytes() == want.data.tobytes()
-    assert flat.tobytes() == want_flat.tobytes()
-    assert np.array_equal(vflat, want_vflat)
 
 
 def test_stacked_segment_costs_equal_separate_calls():
