@@ -28,6 +28,7 @@ from .errors import (
     NoGridPathError,
     NotLocallyUnivalentError,
     OutsideDomainError,
+    QuadratureError,
     SingularPointError,
 )
 from .jets import Jet3, compose, pre_schwarzian, scale, schwarzian

@@ -99,7 +99,6 @@ _SOLVER_OPTIONS = {
     "grid_resolution": "grid_resolution",
     "relax_iterations": "relax_iterations",
     "path_nodes": "path_nodes",
-    "quad_panels": "quad_panels_per_segment",
     "solver_tolerance": "tolerance",
 }
 
@@ -126,8 +125,7 @@ def _cmd_distance(args) -> int:
             if p != dedup[-1]:
                 dedup.append(p)
         geo = metrics.Polyline(dedup)
-        d = metrics.path_quadrature("quasihyperbolic", D, geo,
-                                    panels=cfg.quad_panels_per_segment)
+        d = metrics.path_quadrature("quasihyperbolic", D, geo)
         if args.geodesic_out:
             rows = ["x,y"] + [f"{_fmt9(p.real)},{_fmt9(p.imag)}"
                               for p in geo.points]

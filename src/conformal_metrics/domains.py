@@ -93,6 +93,8 @@ class Kind:
     delta: Callable
     psi: Callable                    # (psi, psi')
     bbox: Callable = lambda *params: None
+    piece: Callable | None = None    # see piece_vec; None: one piece
+    radius: Callable | None = None   # see radius_vec; None: delta
     simply_connected: bool = True
     sample_map: str | None = None    # catalog map carrying disk samples onto D
     centre: Callable | None = None   # or the shift of disk samples into D
@@ -131,6 +133,13 @@ def _slit_disk_delta(z, c):
     return np.minimum(1.0 - np.abs(u), seg)
 
 
+def _slit_disk_piece(z, c):
+    # 0: the circle; 1: the slit's tip; 2: the slit's side
+    u = z - c
+    return np.where(1.0 - np.abs(u) <= _slit_disk_delta(z, c), 0,
+                    np.where(u.real >= 0.0, 1, 2))
+
+
 def _slit_disk_psi(z, c):
     # r = sqrt(u) maps the slit disk onto the right half disk, and
     # (1/r - r)/2 maps that onto the right half-plane
@@ -153,9 +162,15 @@ def _log_strip_delta(z, c):
 
 def _log_strip_psi(z, c):
     # exp(w) maps the strip onto the slit disk, whose psi at r = exp(w/2)
-    # is -i sinh(w/2)
+    # is -i sinh(w/2).  sinh overflows for Re w < -1420; lambda and h do not
+    # change when psi is scaled by a real factor, so such a call scales every
+    # point by exp(m/2), m its least Re w, and cancels the large exponent.
     w = z / c
-    return -1j * np.sinh(w / 2), -0.5j * np.cosh(w / 2) / c
+    m = float(np.min(w.real, initial=0.0))
+    if m > -1400.0:
+        return -1j * np.sinh(w / 2), -0.5j * np.cosh(w / 2) / c
+    up, down = np.exp((w + m) / 2), np.exp((m - w) / 2)
+    return -0.5j * (up - down), -0.25j * (up + down) / c
 
 
 _KINDS = {
@@ -164,11 +179,13 @@ _KINDS = {
         delta=lambda z: 1.0 - np.abs(z),
         psi=_cayley,
         bbox=lambda: _UNIT_BOX, centre=lambda: 0j,
+        radius=lambda z: np.minimum(np.abs(z), 1.0 - np.abs(z)),
     ),
     "punctured_disk": Kind(
         contains=lambda z: (np.abs(z) < 1.0) & (z != 0),
         delta=_pdisk_delta,
         psi=lambda z: (-1j * np.log(z), -1j / z),  # local branches only
+        piece=lambda z: np.abs(z) < 0.5,
         bbox=lambda: _UNIT_BOX, simply_connected=False, centre=lambda: 0j,
     ),
     "upper_half_plane": Kind(
@@ -180,14 +197,20 @@ _KINDS = {
         contains=lambda z: ~((z.imag == 0.0) & (z.real <= -0.25)),
         delta=lambda z: np.where(z.real >= -0.25, np.abs(z + 0.25),
                                  np.abs(z.imag)),
-        psi=_koebe_psi, sample_map="koebe",
+        psi=_koebe_psi, piece=lambda z: z.real >= -0.25, sample_map="koebe",
     ),
     "slit_disk": Kind(
         _slit_disk_contains, _slit_disk_delta, _slit_disk_psi,
         bbox=lambda c: (c.real - 1.0, c.real + 1.0, c.imag - 1.0, c.imag + 1.0),
-        centre=lambda c: c,
+        piece=_slit_disk_piece, centre=lambda c: c,
     ),
-    "log_strip": Kind(_log_strip_contains, _log_strip_delta, _log_strip_psi),
+    "log_strip": Kind(
+        _log_strip_contains, _log_strip_delta, _log_strip_psi,
+        # the nearest side: the end, the upper or the lower edge
+        piece=lambda z, c: np.argmin(
+            [-(z / c).real, math.pi - (z / c).imag, math.pi + (z / c).imag],
+            axis=0),
+    ),
 }
 
 
@@ -205,6 +228,23 @@ def contains_vec(D: Domain, z: np.ndarray) -> np.ndarray:
 def delta_vec(D: Domain, z: np.ndarray) -> np.ndarray:
     """Boundary distance of interior points (closed forms)."""
     return entry(D).delta(z, *D.params)
+
+
+def piece_vec(D: Domain, z: np.ndarray) -> np.ndarray:
+    """Index of the piece of delta's closed form that is least at interior
+    points: delta is a minimum of analytic pieces, and is not analytic
+    where the least one changes."""
+    piece = entry(D).piece
+    return np.zeros(np.shape(z)) if piece is None else piece(z, *D.params)
+
+
+def radius_vec(D: Domain, z: np.ndarray) -> np.ndarray | None:
+    """Radius of a disc about interior points on which the least piece of
+    delta is analytic, where it is less than delta: None but for the unit
+    disk, whose 1 - |z| is not analytic at its centre; the other pieces are
+    singular on the boundary only."""
+    radius = entry(D).radius
+    return None if radius is None else radius(z, *D.params)
 
 
 def density_vec(D: Domain, z: np.ndarray) -> np.ndarray:

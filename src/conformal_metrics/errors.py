@@ -40,6 +40,10 @@ class NoGridPathError(ConformalMetricsError):
     """Grid Dijkstra could not connect the endpoints."""
 
 
+class QuadratureError(ConformalMetricsError):
+    """Graded quadrature did not converge to the requested tolerance."""
+
+
 class InvalidParameterError(ConformalMetricsError, ValueError):
     """Catalog constructor called with parameters violating its invariants."""
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import domains
 from .domains import Domain
-from .errors import (NoGridPathError, OutsideDomainError,
+from .errors import (NoGridPathError, OutsideDomainError, QuadratureError,
                      SingularPointError, at_point)
 
 __all__ = [
@@ -33,6 +33,14 @@ _GL_WEIGHTS = 0.5 * np.array(
     [(18.0 - math.sqrt(30.0)) / 36.0, (18.0 + math.sqrt(30.0)) / 36.0,
      (18.0 + math.sqrt(30.0)) / 36.0, (18.0 - math.sqrt(30.0)) / 36.0]
 )
+# A quadrature piece is no longer than _PIECE_C times the radius on which
+# 1/delta is analytic, nor than _KINK_C times that where delta's closed form
+# changes pieces; a piece over its bound splits into up to 2**_FANOUT parts,
+# down to _MIN_WIDTH of its segment (see _grade).
+_PIECE_C = 0.5
+_KINK_C = 1e-4
+_FANOUT = 4
+_MIN_WIDTH = 2.0 ** -60
 
 
 @dataclass(frozen=True)
@@ -60,14 +68,13 @@ class SolverConfig:
     relax_iterations: int = 500
     relax_step: float = 0.1        # fraction of local delta
     path_nodes: int = 128
-    quad_panels_per_segment: int = 16
     tolerance: float = 1e-6        # relative improvement stopping threshold
 
     def __post_init__(self):
         for name in ("grid_resolution", "path_nodes"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
-        if min(self.relax_iterations, self.quad_panels_per_segment) <= 0:
+        if self.relax_iterations <= 0:
             raise ValueError("solver parameters must be positive")
         if not (0 < self.relax_step and 0 < self.tolerance < 1):
             raise ValueError("bad relax_step or tolerance")
@@ -84,48 +91,137 @@ def _weight_fn(density: str, D: Domain):
     raise ValueError("density must be 'hyperbolic' or 'quasihyperbolic'")
 
 
+def _scale(D: Domain, z: np.ndarray) -> np.ndarray:
+    """Rows: the radius about z on which 1/delta is analytic, at least
+    _KINK_C delta, and the piece of delta's closed form that is least at z
+    (domains.radius_vec, domains.piece_vec)."""
+    d = domains.delta_vec(D, z)
+    radius = domains.radius_vec(D, z)
+    if radius is not None:
+        d = np.maximum(radius, _KINK_C * d)
+    return np.stack([d, domains.piece_vec(D, z)])
+
+
+def _grade(D: Domain, p: np.ndarray, c: float):
+    """Composite GL4 rule for the segments p[i] -> p[i + 1], graded so that
+    the node count follows length / delta.
+
+    Each segment is split until every piece is no longer than c times the
+    least analytic radius (_scale) at its ends and midpoint, and than
+    _KINK_C times that where the least piece of delta is not the same at all
+    three.  delta is 1-Lipschitz, so a piece keeps (1 - c/2) delta from the
+    boundary; 1/delta is analytic around it on a region a fixed multiple of
+    its length, but for the kinks, and GL4 converges geometrically.  A piece
+    over its bound by a factor q splits into 2**ceil(log2 q) equal parts,
+    at most 2**_FANOUT, so a deep grading takes few rounds.
+
+    Returns ((t, w, seg, starts), resolved): the nodes t and weights w in the
+    segment parameter s in [0, 1], the segment of each node and the first
+    node of each segment, in order; and False when a piece still fails its
+    bound at _MIN_WIDTH, as one does where a segment meets the boundary.
+    """
+    n = len(p) - 1
+    a, step = p[:-1], np.diff(p)
+    length = np.abs(step)
+    seg = np.arange(n)
+    lo, width = np.zeros(n), np.ones(n)
+    at = _scale(D, np.concatenate([p, a + 0.5 * step]))
+    at_lo, at_hi, at_mid = at[:, :n], at[:, 1:n + 1], at[:, n + 1:]
+    done = []
+    resolved = False
+    while True:
+        bound = c * np.minimum(np.minimum(at_lo[0], at_hi[0]), at_mid[0])
+        bound[(at_lo[1] != at_mid[1]) | (at_mid[1] != at_hi[1])] *= _KINK_C
+        # over its bound by this factor; inf where delta is not positive
+        over = np.divide(length[seg] * width, bound,
+                         out=np.full(len(seg), np.inf), where=bound > 0)
+        split = over > 1.0
+        if not split.any():
+            resolved = True
+            break
+        if width[split].min() <= _MIN_WIDTH:
+            break
+        done.append((seg[~split], lo[~split], width[~split]))
+        parts = 2 ** np.clip(np.ceil(np.log2(over[split])), 1, _FANOUT)
+        parts = parts.astype(int)
+        first = np.cumsum(parts) - parts
+        at_first, at_last = at_lo[:, split], at_hi[:, split]
+        seg = np.repeat(seg[split], parts)
+        width = np.repeat(width[split] / parts, parts)
+        j = np.arange(len(seg)) - np.repeat(first, parts)
+        lo = np.repeat(lo[split], parts) + j * width
+        inner = j > 0
+        # the parts' inner ends, then their midpoints
+        on = np.concatenate([seg[inner], seg])
+        at = _scale(D, a[on] + step[on] * np.concatenate([lo[inner],
+                                                          lo + 0.5 * width]))
+        k = int(np.count_nonzero(inner))
+        at_lo = np.empty((2, len(seg)))
+        at_lo[:, ~inner], at_lo[:, inner] = at_first, at[:, :k]
+        at_mid = at[:, k:]
+        at_hi = np.empty_like(at_lo)
+        at_hi[:, :-1] = at_lo[:, 1:]
+        at_hi[:, first + parts - 1] = at_last
+    if not done:
+        return _whole_segments(n), resolved
+    done.append((seg, lo, width))
+    seg, lo, width = (np.concatenate(x) for x in zip(*done))
+    order = np.lexsort((lo, seg))
+    seg, lo, width = seg[order], lo[order], width[order]
+    t = (lo[:, None] + width[:, None] * _GL_NODES).ravel()
+    w = (width[:, None] * _GL_WEIGHTS).ravel()
+    starts = _GL_NODES.size * np.searchsorted(seg, np.arange(n))
+    return (t, w, np.repeat(seg, _GL_NODES.size), starts), resolved
+
+
 @functools.lru_cache(maxsize=8)
-def _panel_nodes(panels: int):
-    """Composite GL4 nodes and weights on [0, 1]; read-only, as every caller
-    shares them."""
-    k = np.arange(panels)[:, None]
-    t = ((k + _GL_NODES[None, :]) / panels).ravel()
-    w = np.tile(_GL_WEIGHTS / panels, panels)
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
+def _whole_segments(n: int):
+    """_grade's rule when no segment splits: GL4 on each of n segments;
+    read-only, as every caller shares it."""
+    rule = (np.tile(_GL_NODES, n), np.tile(_GL_WEIGHTS, n),
+            np.repeat(np.arange(n), _GL_NODES.size),
+            _GL_NODES.size * np.arange(n))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
-def _segment_costs(weight, a: np.ndarray, b: np.ndarray, panels: int,
-                   D: Domain | None = None) -> np.ndarray:
-    """Composite GL4 quadrature of `weight` along segments a[..., i] ->
-    b[..., i].  Stacked segment lists cost one pass, and each list's costs
-    equal those of its own call bit for bit: the stacked `@ w` runs one
-    gemv per list (a flat (rows, nodes) product would round differently)."""
-    t, w = _panel_nodes(panels)
-    z = a[..., None] + (b - a)[..., None] * t
-    if D is not None and not np.all(domains.contains_vec(D, z)):
-        raise OutsideDomainError("path exits domain at a quadrature node")
-    return np.abs(b - a) * (weight(z) @ w)
+def _segment_costs(weight, a: np.ndarray, b: np.ndarray,
+                   grading) -> np.ndarray:
+    """Quadrature of `weight` along segments a[..., i] -> b[..., i] on the
+    rule of _grade.  Stacked segment lists cost one pass and share the
+    grading; each list's costs equal those of its own call bit for bit."""
+    t, w, seg, starts = grading
+    z = a[..., seg] + (b - a)[..., seg] * t
+    return np.abs(b - a) * np.add.reduceat(weight(z) * w, starts, axis=-1)
 
 
 def path_quadrature(density: str, D: Domain, path: Polyline,
-                    panels: int = 16, tol: float = 1e-10) -> float:
+                    tol: float = 1e-10) -> float:
     """Integral of the selected density along the polyline.
 
-    Panel count doubles (up to 3 times) while successive refinements still
-    disagree beyond `tol` relative.
+    GL4 on the pieces of _grade at c = _PIECE_C / 4, a quarter of the
+    relaxation's bound.  The rule at twice that bound estimates the error:
+    QuadratureError when the two differ by more than `tol` relative
+    (absolute below 1), so an unconverged value is never returned.
     """
     weight = _weight_fn(density, D)
     p = path.as_array()
-    a, b = p[:-1], p[1:]
-    val = float(np.sum(_segment_costs(weight, a, b, panels, D)))
-    for _ in range(3):
-        panels *= 2
-        finer = float(np.sum(_segment_costs(weight, a, b, panels)))
-        if abs(finer - val) <= tol * max(1.0, abs(finer)):
-            return finer
-        val = finer
-    return val
+    if not np.all(domains.contains_vec(D, p)):
+        raise OutsideDomainError("path has a node outside the domain")
+    values = []
+    for c in (0.5 * _PIECE_C, 0.25 * _PIECE_C):
+        grading, resolved = _grade(D, p, c)
+        if not resolved:
+            raise OutsideDomainError("path meets the boundary of the domain")
+        values.append(float(np.sum(
+            _segment_costs(weight, p[:-1], p[1:], grading))))
+    coarse, fine = values
+    if abs(fine - coarse) > tol * max(1.0, abs(fine)):
+        raise QuadratureError(
+            f"quadrature not converged: {fine!r} on pieces of half the "
+            f"length of those giving {coarse!r}")
+    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +263,14 @@ def _grid_graph(D: Domain, box, n: int):
     """(graph, nodes, valid) of the n x n grid on box: node (i, j) is
     nodes[i * n + j]; graph is the CSR matrix of the 8-neighbour edges
     between valid nodes whose midpoint lies in D, weighted by Euclidean
-    length / delta at the midpoint.  The arrays are read-only, as the graph
-    of a bounded domain is shared by its solves."""
-    from scipy.sparse import coo_matrix
+    length / delta at the midpoint.  Each edge is stored in both directions,
+    and row k holds the edges to higher nodes, then those to lower ones,
+    each by column, with inf for a missing edge: the order in which an
+    undirected dijkstra scans the upper-triangular graph and its transpose,
+    so a directed dijkstra on it gives the same dist and pred without
+    transposing on every call.  The arrays are read-only, as the graph of a
+    bounded domain is shared by its solves."""
+    from scipy.sparse import csr_matrix
 
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, n)
@@ -188,9 +289,14 @@ def _grid_graph(D: Domain, box, n: int):
     vflat = valid.ravel()
     idx = np.arange(n * n)
 
-    rows, cols, weights = [], [], []
+    # eight slots per row: the steps (0, 1), (1, -1), (1, 0) and (1, 1) to
+    # higher nodes, then their reverses, so slot 7 - s holds the reverse of
+    # slot s; inf, which dijkstra never relaxes, where there is no edge
+    offsets = np.array([1, n - 1, n, n + 1, -n - 1, -n, 1 - n, -1],
+                       dtype=np.int32)
+    table = np.full((n * n, 8), np.inf)
     weightf = _weight_fn("quasihyperbolic", D)
-    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
+    for slot, (di, dj) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1))):
         src = idx.reshape(n, n)
         i0 = src[max(0, -di): n - max(0, di), max(0, -dj): n - max(0, dj)].ravel()
         i1 = i0 + di * n + dj
@@ -200,17 +306,15 @@ def _grid_graph(D: Domain, box, n: int):
         inside = domains.contains_vec(D, mids)
         i0, i1, mids = i0[inside], i1[inside], mids[inside]
         w = np.abs(flat[i1] - flat[i0]) * weightf(mids)
-        rows.append(i0)
-        cols.append(i1)
-        weights.append(w)
-    if not sum(len(r) for r in rows):
+        table[i0, slot] = table[i1, 7 - slot] = w
+    if np.isinf(table).all():
         raise NoGridPathError("grid too coarse: no edges inside the domain")
-    # the CSR form that dijkstra would otherwise build from the COO on
-    # every call
-    graph = coo_matrix(
-        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n),
-    ).tocsr()
+    # a slot past the grid's edge has no edge; any column will do
+    cols = np.clip(idx.astype(np.int32)[:, None] + offsets, 0, n * n - 1)
+    graph = csr_matrix(
+        (table.ravel(), cols.ravel(),
+         np.arange(0, 8 * n * n + 1, 8, dtype=np.int32)),
+        shape=(n * n, n * n))
     for arr in (graph.data, graph.indices, graph.indptr, flat, vflat):
         arr.flags.writeable = False
     return graph, flat, vflat
@@ -247,7 +351,7 @@ def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
 
     s, t = snap(z1), snap(z2)
     dist, pred = dijkstra(
-        graph, directed=False, indices=s, return_predecessors=True
+        graph, directed=True, indices=s, return_predecessors=True
     )
     if not np.isfinite(dist[t]):
         raise NoGridPathError("grid disconnects the endpoints")
@@ -277,25 +381,49 @@ def _resample(p: np.ndarray, m: int) -> np.ndarray:
     return out[keep]
 
 
+def _precondition(k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g solved against the tridiagonal weighted Laplacian of the spring
+    constants k (one per segment, so len(k) = len(g) + 1), through LAPACK
+    gtsv with both components as right-hand sides; g itself when the system
+    is singular.  A non-finite system raises ValueError: gtsv would return
+    NaN silently."""
+    from scipy.linalg.lapack import dgtsv
+
+    diag = k[:-1] + k[1:]
+    rhs = np.column_stack([g.real, g.imag])
+    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("relaxation gradient is not finite")
+    if len(g) == 1:
+        if diag[0] == 0:
+            return g
+        x = rhs / diag[0]
+    else:
+        off = -k[1:-1]
+        x, info = dgtsv(off, diag, off, rhs)[3:]
+        if info > 0:
+            return g
+    return x[:, 0] + 1j * x[:, 1]
+
+
 def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
     """Monotone local descent on the quadrature functional.
 
     Gradient by batched finite differences on segment costs, preconditioned
     by the tridiagonal weighted-Laplacian (the Hessian of the dominant
-    length-times-weight part), so a unit step is close to a Newton step.  A
-    trial update is accepted only if it stays interior and strictly lowers
-    the functional, so the recorded history is non-increasing by
-    construction.
+    length-times-weight part), so a unit step is close to a Newton step.
+    Each path is costed on its own grading (_grade), which the perturbed
+    costs of the gradient reuse.  A trial update is accepted only if it
+    stays interior, its grading resolves and it strictly lowers the
+    functional, so the recorded history is non-increasing by construction.
     """
-    from scipy.linalg import solve_banded
-
     weight = _weight_fn("quasihyperbolic", D)
-    panels = cfg.quad_panels_per_segment
 
     def costs(q):
-        return _segment_costs(weight, q[:-1], q[1:], panels)
+        grading, resolved = _grade(D, q, _PIECE_C)
+        return grading, resolved, _segment_costs(weight, q[:-1], q[1:],
+                                                 grading)
 
-    c_cur = costs(p)
+    grading, _, c_cur = costs(p)
     f_cur = float(np.sum(c_cur))
     if len(p) < 3:
         return p, [f_cur]
@@ -306,30 +434,17 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
     for _ in range(cfg.relax_iterations):
         a, b = p[:-1], p[1:]
         # the segment costs with the left or the right end moved by h along
-        # x, then along y, in one call
+        # x, then along y, in one call on the current grading
         clx, crx, cly, cry = _segment_costs(
             weight, np.stack([a + h, a, a + 1j * h, a]),
-            np.stack([b, b + h, b, b + 1j * h]), panels)
+            np.stack([b, b + h, b, b + 1j * h]), grading)
         gx = (crx[:-1] - c_cur[:-1] + clx[1:] - c_cur[1:]) / h
         gy = (cry[:-1] - c_cur[:-1] + cly[1:] - c_cur[1:]) / h
         g = gx + 1j * gy
-        gnorm = np.abs(g)
-        if not np.any(gnorm > 0):
+        if not np.any(np.abs(g) > 0):
             break
-        # Spring constants: mean weight on each segment over its length.
-        seg = np.abs(b - a)
-        k = c_cur / seg ** 2
-        n_int = len(p) - 2
-        band = np.zeros((3, n_int))
-        band[1] = k[:-1] + k[1:]
-        band[0, 1:] = -k[1:-1]
-        band[2, :-1] = -k[1:-1]
-        try:
-            # both right-hand sides in one solve, each column as if alone
-            x = solve_banded((1, 1), band, np.column_stack([g.real, g.imag]))
-            g = x[:, 0] + 1j * x[:, 1]
-        except np.linalg.LinAlgError:
-            pass  # fall back to the raw gradient for this iteration
+        # spring constants: mean weight on each segment over its length
+        g = _precondition(c_cur / np.abs(b - a) ** 2, g)
         cap = cfg.relax_step * domains.delta_vec(D, p[1:-1])
         accepted = False
         while lr > 1e-14:
@@ -343,10 +458,10 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
             if np.all(domains.contains_vec(D, trial[1:-1])) and np.all(
                 domains.delta_vec(D, trial[1:-1]) > 1e-12
             ):
-                c_new = costs(trial)
+                grading_new, resolved, c_new = costs(trial)
                 f_new = float(np.sum(c_new))
-                if f_new < f_cur:
-                    p, c_cur, f_cur = trial, c_new, f_new
+                if resolved and f_new < f_cur:
+                    p, grading, c_cur, f_cur = trial, grading_new, c_new, f_new
                     accepted = True
                     lr = min(lr * 1.5, 1.0)
                     break
@@ -374,8 +489,7 @@ def quasihyperbolic_distance_detailed(D: Domain, z1: complex, z2: complex,
     init = _resample(init, cfg.path_nodes)
     relaxed, history = _relax(D, init, cfg)
     poly = Polyline(relaxed)
-    value = path_quadrature("quasihyperbolic", D, poly,
-                            panels=cfg.quad_panels_per_segment)
+    value = path_quadrature("quasihyperbolic", D, poly)
     return value, poly, history
 
 

@@ -193,6 +193,15 @@ def test_sweep_path_option_is_rejected(capsys):
     assert "--path" in capsys.readouterr().err
 
 
+def test_quad_panels_option_is_rejected(capsys):
+    # the solver grades its quadrature by length / delta: no panel count
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--domain", "disk", "--metric", "qhyp",
+              "--from", "0.1", "--to", "0.5", "--quad-panels", "16"])
+    assert exc.value.code == 2
+    assert "--quad-panels" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option, field", [
     ("--grid-resolution", "grid_resolution"),
     ("--path-nodes", "path_nodes"),

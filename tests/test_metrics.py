@@ -26,7 +26,7 @@ from conformal_metrics import (
     unit_disk,
     upper_half_plane,
 )
-from conformal_metrics import metrics
+from conformal_metrics import QuadratureError, domains, metrics
 
 
 def test_polyline_validation():
@@ -52,9 +52,22 @@ def test_hyperbolic_distance_needs_simply_connected_domain():
 
 
 def test_hyperbolic_distance_beyond_float_range_raises():
-    # the log strip's psi = -i sinh(z/2) overflows for Re z < -1420
+    # |w1 - w2| / (2 sqrt(Im w1 Im w2)) = 1e300 / 2e-150 overflows
     with pytest.raises(SingularPointError, match="not a finite float"):
-        hyperbolic_distance(log_strip(1), -1500, -1501)
+        hyperbolic_distance(upper_half_plane(), 1e-300j, 1e300 + 1j)
+
+
+@pytest.mark.parametrize("x", [-1500.0, -1e5])
+def test_log_strip_far_from_its_tip(x):
+    # psi = -i sinh(z/2) overflows for Re z < -1420; the strip is a
+    # half-plane there, lambda = 1/4 and h(x, x - 1) = 1/4
+    assert domains.hyperbolic_density(log_strip(1), x) == pytest.approx(
+        0.25, rel=1e-12)
+    assert hyperbolic_distance(log_strip(1), x, x - 1) == pytest.approx(
+        0.25, rel=1e-12)
+    assert hyperbolic_distance(log_strip(1), x + 2j, x - 2j) == (
+        pytest.approx(hyperbolic_distance(log_strip(1), -100 + 2j,
+                                          -100 - 2j), rel=1e-12))
 
 
 def test_hyperbolic_distance_mobius_invariance():
@@ -106,6 +119,45 @@ def test_quadrature_radial_hyperbolic():
 def test_quadrature_rejects_exiting_path():
     with pytest.raises(OutsideDomainError):
         path_quadrature("quasihyperbolic", unit_disk(), Polyline([0, 2.0]))
+    # both ends inside, the segment across the slit
+    with pytest.raises(OutsideDomainError, match="meets the boundary"):
+        path_quadrature("quasihyperbolic", koebe_slit_plane(),
+                        Polyline([-1 + 1j, -1 - 1j]))
+
+
+@pytest.mark.parametrize("D, path", [
+    (upper_half_plane(), [1e-6j, 1j]),
+    (unit_disk(), [0, 1 - 1e-6]),
+], ids=["uhp", "disk"])
+def test_quadrature_of_one_segment_over_six_decades(D, path):
+    # delta runs from 1e-6 to 1 along one segment: log 1e6
+    v = path_quadrature("quasihyperbolic", D, Polyline(path))
+    assert v == pytest.approx(math.log(1e6), rel=1e-9)
+
+
+@pytest.mark.parametrize("D, path, want", [
+    # delta = min(|z|, 1 - |z|) changes pieces at |z| = 1/2
+    (punctured_disk(), [0.25, 0.75], 2 * math.log(2)),
+    (punctured_disk(), [0.3, 0.9], math.log(5 / 3) + math.log(5)),
+    # 1 - |z| is not analytic at the centre of the disk
+    (unit_disk(), [-0.5, 0.5], 2 * math.log(2)),
+    (unit_disk(), [-0.5, 0.3], math.log(2) + math.log(1 / 0.7)),
+    # the nearest boundary point leaves the slit's tip at Re z = -1/4
+    (koebe_slit_plane(), [-1 + 0.5j, 1 + 0.5j], 1.5 + math.asinh(2.5)),
+    # the end of the strip is nearest while |Im z| < pi - 3/2
+    (log_strip(1), [-1.5 - 2j, -1.5 + 2j],
+     2 * (math.pi - 1.5) / 1.5 + 2 * math.log(1.5 / (math.pi - 2))),
+], ids=["pdisk-mid", "pdisk", "disk-centre", "disk", "koebe", "log-strip"])
+def test_quadrature_across_kinks_of_delta(D, path, want):
+    v = path_quadrature("quasihyperbolic", D, Polyline(path))
+    assert v == pytest.approx(want, rel=1e-10)
+
+
+def test_quadrature_raises_rather_than_return_an_unconverged_value():
+    path = Polyline([1e-6j, 1j])
+    with pytest.raises(QuadratureError, match="not converged"):
+        path_quadrature("quasihyperbolic", upper_half_plane(), path,
+                        tol=1e-16)
 
 
 def test_solver_disk_radial():
@@ -220,8 +272,8 @@ def test_resample_matches_the_loop(m):
 
 
 # ---------------------------------------------------------------------------
-# solver exactness: the stacked quadrature, the graph cache and the
-# relaxation reproduce the straightforward construction bit for bit
+# solver exactness: the grading, the stacked quadrature, the graph and its
+# cache, and the banded solve reproduce the straightforward construction
 
 _GRID_CASES = [
     (unit_disk(), 0.5 + 0.5j, -0.3 + 0.6j),
@@ -231,22 +283,122 @@ _GRID_CASES = [
     (koebe_slit_plane(), -2 + 0.5j, -2 - 0.5j),
     (log_strip(1), -1 + 2j, -1 - 2j),
 ]
+_GRID_IDS = [D.kind for D, _, _ in _GRID_CASES]
 
 
-def test_stacked_segment_costs_equal_separate_calls():
-    weight = metrics._weight_fn("quasihyperbolic", unit_disk())
+def _initial_path(D, z1, z2, m=128):
+    return metrics._resample(
+        metrics._grid_dijkstra(D, z1, z2, SolverConfig()), m)
+
+
+def _pieces(grading):
+    """(segment, lo, width) of each piece of a _grade rule."""
+    t, w, seg, _ = grading
+    k = metrics._GL_NODES.size
+    width = w.reshape(-1, k).sum(axis=1)
+    return seg[::k], t[::k] - width * metrics._GL_NODES[0], width
+
+
+@pytest.mark.parametrize("D, z1, z2", _GRID_CASES + [
+    (upper_half_plane(), 0.001j, 10 + 0.001j)], ids=_GRID_IDS + ["uhp-rho"])
+def test_grade_bounds_every_piece(D, z1, z2):
+    p = _initial_path(D, z1, z2)
+    for c in (metrics._PIECE_C, metrics._PIECE_C / 4):
+        grading, resolved = metrics._grade(D, p, c)
+        assert resolved
+        seg, lo, width = _pieces(grading)
+        # the pieces tile each segment in order
+        assert np.array_equal(np.unique(seg), np.arange(len(p) - 1))
+        assert np.all(np.diff(seg) >= 0)
+        np.testing.assert_allclose(np.bincount(seg, weights=width), 1.0,
+                                   rtol=1e-14)
+        same = seg[1:] == seg[:-1]
+        np.testing.assert_allclose(lo[1:][same], (lo + width)[:-1][same],
+                                   rtol=0, atol=1e-15)
+        z = [p[seg] + (p[seg + 1] - p[seg]) * s
+             for s in (lo, lo + 0.5 * width, lo + width)]
+        scale = [metrics._scale(D, x) for x in z]
+        bound = c * np.min([x[0] for x in scale], axis=0)
+        kink = (scale[0][1] != scale[1][1]) | (scale[1][1] != scale[2][1])
+        bound[kink] *= metrics._KINK_C
+        assert np.all(np.abs(p[seg + 1] - p[seg]) * width
+                      <= bound * (1 + 1e-9))
+
+
+def test_stacked_graded_costs_equal_separate_calls():
+    D = upper_half_plane()
+    p = _initial_path(D, 0.001j, 2 + 0.001j)
+    grading, _ = metrics._grade(D, p, metrics._PIECE_C)
+    assert len(grading[0]) > 4 * (len(p) - 1)    # some segments split
+    weight = metrics._weight_fn("quasihyperbolic", D)
     rng = np.random.default_rng(3)
-    for m in (1, 2, 127):
-        a, b = (0.6 * (rng.random((4, m)) - 0.5)
-                + 0.6j * (rng.random((4, m)) - 0.5) for _ in range(2))
-        got = metrics._segment_costs(weight, a, b, 16)
-        for i in range(4):
-            want = metrics._segment_costs(weight, a[i], b[i], 16)
-            assert got[i].tobytes() == want.tobytes()
+    a = p[:-1] + 1e-7 * rng.random((4, len(p) - 1))
+    b = p[1:] + 1e-7j * rng.random((4, len(p) - 1))
+    got = metrics._segment_costs(weight, a, b, grading)
+    for i in range(4):
+        want = metrics._segment_costs(weight, a[i], b[i], grading)
+        assert got[i].tobytes() == want.tobytes()
+
+
+def test_gradient_perturbations_use_the_base_grading(monkeypatch):
+    # every path the relaxation costs gets its own grading; the perturbed
+    # costs of the gradient reuse the grading of the current path
+    D = upper_half_plane()
+    p = _initial_path(D, 0.001j, 2 + 0.001j)
+    calls = []
+    grade, costs = metrics._grade, metrics._segment_costs
+
+    def recording_grade(D, q, c):
+        result = grade(D, q, c)
+        calls.append(("grade", q.copy(), result[0]))
+        return result
+
+    def recording_costs(weight, a, b, grading):
+        calls.append(("costs", a.copy(), grading))
+        return costs(weight, a, b, grading)
+
+    monkeypatch.setattr(metrics, "_grade", recording_grade)
+    monkeypatch.setattr(metrics, "_segment_costs", recording_costs)
+    _, history = metrics._relax(D, p, SolverConfig())
+    assert len(history) > 2
+    stacked = [i for i, call in enumerate(calls)
+               if call[0] == "costs" and call[1].ndim == 2]
+    assert len(stacked) == len(history) - 1
+    for i in stacked:
+        # the last path graded before the gradient is its current path
+        _, path, grading = [c for c in calls[:i] if c[0] == "grade"][-1]
+        assert np.array_equal(calls[i][1][1], path[:-1])
+        assert calls[i][2] is grading
+    # a grading per costed path, none for the perturbed ones
+    assert sum(c[0] == "grade" for c in calls) == sum(
+        c[0] == "costs" and c[1].ndim == 1 for c in calls)
+
+
+@pytest.mark.parametrize("D, z1, z2", _GRID_CASES, ids=_GRID_IDS)
+def test_grid_graph_gives_the_undirected_dijkstra(D, z1, z2):
+    # each row holds its upper-triangular entries, then its lower ones:
+    # the scan of an undirected dijkstra on the upper-triangular graph
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    box = domains.bounding_box(D) or metrics._grid_box(D, z1, z2)
+    graph, _, valid = metrics._grid_graph(D, box, 60)
+    rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+    upper = np.isfinite(graph.data) & (graph.indices > rows)
+    half = coo_matrix((graph.data[upper], (rows[upper], graph.indices[upper])),
+                      shape=graph.shape).tocsr()
+    assert graph.nnz >= 2 * half.nnz
+    for s in np.flatnonzero(valid)[::97]:
+        want = dijkstra(half, directed=False, indices=s,
+                        return_predecessors=True)
+        got = dijkstra(graph, directed=True, indices=s,
+                       return_predecessors=True)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("D, z1, z2", _GRID_CASES[:2],
-                         ids=[D.kind for D, _, _ in _GRID_CASES[:2]])
+                         ids=_GRID_IDS[:2])
 def test_warm_graph_cache_gives_the_cold_solve(D, z1, z2):
     cache = metrics._bounded_grid_graph
     cache.cache_clear()
@@ -263,71 +415,33 @@ def test_warm_graph_cache_gives_the_cold_solve(D, z1, z2):
     assert cache.cache_info().currsize == 1
 
 
-def _relax_reference(D, p, cfg):
-    """The relaxation with one quadrature call per perturbed path and one
-    banded solve per right-hand side."""
+@pytest.mark.parametrize("n", [1, 2, 126])
+def test_precondition_is_the_banded_solve(n):
     from scipy.linalg import solve_banded
 
-    weight = metrics._weight_fn("quasihyperbolic", D)
-    panels = cfg.quad_panels_per_segment
-
-    def costs(q):
-        return metrics._segment_costs(weight, q[:-1], q[1:], panels)
-
-    h = 1e-7 * max(1.0, float(np.max(np.abs(np.diff(p)))))
-    lr, f_cur = 1.0, float(np.sum(costs(p)))
-    history = [f_cur]
-    for _ in range(cfg.relax_iterations):
-        a, b = p[:-1], p[1:]
-        c0 = costs(p)
-        clx, crx, cly, cry = (
-            metrics._segment_costs(weight, a + h, b, panels),
-            metrics._segment_costs(weight, a, b + h, panels),
-            metrics._segment_costs(weight, a + 1j * h, b, panels),
-            metrics._segment_costs(weight, a, b + 1j * h, panels))
-        g = ((crx[:-1] - c0[:-1] + clx[1:] - c0[1:]) / h
-             + 1j * ((cry[:-1] - c0[:-1] + cly[1:] - c0[1:]) / h))
-        if not np.any(np.abs(g) > 0):
-            break
-        k = c0 / np.abs(b - a) ** 2
-        band = np.zeros((3, len(p) - 2))
-        band[1] = k[:-1] + k[1:]
-        band[0, 1:] = -k[1:-1]
-        band[2, :-1] = -k[1:-1]
-        g = (solve_banded((1, 1), band, g.real)
-             + 1j * solve_banded((1, 1), band, g.imag))
-        cap = cfg.relax_step * metrics.domains.delta_vec(D, p[1:-1])
-        accepted = False
-        while lr > 1e-14:
-            disp = -g * lr
-            mag = np.abs(disp)
-            over = mag > cap
-            disp[over] *= cap[over] / mag[over]
-            trial = p.copy()
-            trial[1:-1] = p[1:-1] + disp
-            if np.all(metrics.domains.contains_vec(D, trial[1:-1])) and np.all(
-                    metrics.domains.delta_vec(D, trial[1:-1]) > 1e-12):
-                f_new = float(np.sum(costs(trial)))
-                if f_new < f_cur:
-                    p, f_cur, accepted = trial, f_new, True
-                    lr = min(lr * 1.5, 1.0)
-                    break
-            lr *= 0.5
-        history.append(f_cur)
-        if not accepted or (history[-2] - history[-1]
-                            < cfg.tolerance * max(f_cur, 1e-300)):
-            break
-    return p, history
+    rng = np.random.default_rng(n)
+    k = rng.random(n + 1) + 0.1
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    band = np.zeros((3, n))
+    band[1] = k[:-1] + k[1:]
+    band[0, 1:] = band[2, :-1] = -k[1:-1]
+    want = solve_banded((1, 1), band, np.column_stack([g.real, g.imag]))
+    got = metrics._precondition(k, g)
+    assert got.tobytes() == (want[:, 0] + 1j * want[:, 1]).tobytes()
 
 
-@pytest.mark.parametrize("D, z1, z2", _GRID_CASES,
-                         ids=[D.kind for D, _, _ in _GRID_CASES])
-def test_relax_matches_the_reference(D, z1, z2):
-    cfg = SolverConfig()
-    p = metrics._resample(metrics._grid_dijkstra(D, z1, z2, cfg), 32)
-    got, want = metrics._relax(D, p, cfg), _relax_reference(D, p, cfg)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1] == want[1]
+@pytest.mark.parametrize("n", [1, 3])
+def test_precondition_keeps_the_gradient_of_a_singular_system(n):
+    g = np.arange(1, n + 1) * (1 + 1j)
+    assert metrics._precondition(np.zeros(n + 1), g) is g
+
+
+def test_precondition_rejects_a_non_finite_system():
+    k, g = np.ones(4), np.ones(3, dtype=complex)
+    with pytest.raises(ValueError, match="not finite"):
+        metrics._precondition(k, np.array([1, np.nan, 1], dtype=complex))
+    with pytest.raises(ValueError, match="not finite"):
+        metrics._precondition(np.array([1, np.inf, 1, 1]), g)
 
 
 def test_three_node_path_relaxes_through_the_one_node_solve():
@@ -337,28 +451,58 @@ def test_three_node_path_relaxes_through_the_one_node_solve():
     got, hist = metrics._relax(D, p, cfg)
     assert len(hist) > 2 and hist[-1] < hist[0]
     assert abs(got[1]) < 0.3      # pulled towards the diameter
-    want = _relax_reference(D, p, cfg)
-    assert got.tobytes() == want[0].tobytes() and hist == want[1]
 
 
-# k and the length of the objective history, as the solver gave them before
-# its speed-up; any change to the solver's numerics shows here
+# closed forms far from the grid's scale: delta ratio rho along a horizontal
+# pair in the half-plane, and disk diameters near the circle
+@pytest.mark.parametrize("rho, rel", [(5e3, 2.5e-5), (1e5, 2.1e-5),
+                                      (1e6, 2.1e-5)])
+def test_solver_half_plane_delta_ratios(rho, rel):
+    a, b = 0.001j, 2 * rho * 0.001 + 0.001j
+    want = math.acosh(1 + abs(a - b) ** 2 / (2 * a.imag * b.imag))
+    k, _, history = quasihyperbolic_distance_detailed(upper_half_plane(), a, b)
+    # never below the infimum; the path's own length
+    assert want <= k <= want * (1 + rel)
+    assert all(x >= y for x, y in zip(history, history[1:]))
+
+
+def test_solver_repro_of_the_stretched_segment():
+    k, _, _ = quasihyperbolic_distance_detailed(upper_half_plane(), 0.001j,
+                                                10 + 0.001j)
+    assert 18.42068 <= k <= 18.4225
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6])
+def test_solver_disk_diameters_near_the_circle(eps):
+    a = cmath.rect(1 - eps, 0.3)
+    k, _ = quasihyperbolic_distance(unit_disk(), a, -a)
+    assert k == pytest.approx(2 * math.log(1 / eps), rel=1.2e-6)
+
+
+# k and the length of the objective history, re-pinned for the graded
+# quadrature; any change to the solver's numerics shows here
 _GOLDEN = [
-    ("disk", unit_disk(), 0.5 + 0.5j, -0.3 + 0.6j, 1.8740684193388202, 5),
-    ("pdisk", punctured_disk(), 0.7, -0.7, 3.86798033220328, 17),
-    ("uhp", upper_half_plane(), 0.5 + 1j, 3 + 0.2j, 3.5952369910059314, 6),
+    ("disk", unit_disk(), 0.5 + 0.5j, -0.3 + 0.6j, 1.8740684193387833, 5),
+    ("pdisk", punctured_disk(), 0.7, -0.7, 3.8679853639567146, 14),
+    ("uhp", upper_half_plane(), 0.5 + 1j, 3 + 0.2j, 3.5952369910057946, 6),
     ("uhp rho=1e2", upper_half_plane(), 0.001j, 0.2 + 0.001j,
-     10.59697652269446, 7),
-    ("koebe", koebe_slit_plane(), -2 + 0.5j, -2 - 0.5j, 7.080322440853682, 70),
+     10.596976522710953, 7),
+    ("koebe", koebe_slit_plane(), -2 + 0.5j, -2 - 0.5j, 7.080322446768824, 70),
     ("slit-disk", slit_disk(0.25 + 0.125j), 0.25 + 0.125j + (-0.5 + 0.1j),
-     0.25 + 0.125j + (-0.5 - 0.1j), 7.767839088643846, 12),
-    ("log-strip", log_strip(1), -1 + 2j, -1 - 2j, 2.8875708919571683, 9),
+     0.25 + 0.125j + (-0.5 - 0.1j), 7.767838265314883, 12),
+    ("log-strip", log_strip(1), -1 + 2j, -1 - 2j, 2.8875707861390296, 9),
 ]
 
 
 @pytest.mark.parametrize("name, D, z1, z2, k, iterations", _GOLDEN,
                          ids=[g[0] for g in _GOLDEN])
 def test_solver_golden_values(name, D, z1, z2, k, iterations):
-    value, _, history = quasihyperbolic_distance_detailed(D, z1, z2)
+    value, geodesic, history = quasihyperbolic_distance_detailed(D, z1, z2)
     assert value == pytest.approx(k, rel=1e-12, abs=0)
     assert len(history) == iterations
+    # the returned path, quadratured on pieces half as long again
+    p = geodesic.as_array()
+    grading, _ = metrics._grade(D, p, metrics._PIECE_C / 8)
+    again = np.sum(metrics._segment_costs(
+        metrics._weight_fn("quasihyperbolic", D), p[:-1], p[1:], grading))
+    assert value == pytest.approx(again, rel=1e-9, abs=0)
