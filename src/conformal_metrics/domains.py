@@ -95,6 +95,7 @@ class Kind:
     bbox: Callable = lambda *params: None
     piece: Callable | None = None    # see piece_vec; None: one piece
     radius: Callable | None = None   # see radius_vec; None: delta
+    tip: Callable | None = None      # see slit_tip
     simply_connected: bool = True
     sample_map: str | None = None    # catalog map carrying disk samples onto D
     centre: Callable | None = None   # or the shift of disk samples into D
@@ -198,6 +199,7 @@ _KINDS = {
         delta=lambda z: np.where(z.real >= -0.25, np.abs(z + 0.25),
                                  np.abs(z.imag)),
         psi=_koebe_psi, piece=lambda z: z.real >= -0.25, sample_map="koebe",
+        tip=lambda: -0.25 + 0j,
     ),
     "slit_disk": Kind(
         _slit_disk_contains, _slit_disk_delta, _slit_disk_psi,
@@ -245,6 +247,13 @@ def radius_vec(D: Domain, z: np.ndarray) -> np.ndarray | None:
     singular on the boundary only."""
     radius = entry(D).radius
     return None if radius is None else radius(z, *D.params)
+
+
+def slit_tip(D: Domain) -> complex | None:
+    """The finite end of a slit of D that runs to infinity, or None: a path
+    between the slit's two sides must go round it."""
+    tip = entry(D).tip
+    return None if tip is None else tip(*D.params)
 
 
 def density_vec(D: Domain, z: np.ndarray) -> np.ndarray:

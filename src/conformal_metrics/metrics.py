@@ -248,7 +248,9 @@ def hyperbolic_distance(D: Domain, z1: complex, z2: complex) -> float:
 
 def _grid_box(D: Domain, z1: complex, z2: complex):
     """The grid's box on an unbounded domain: the endpoints' bounding box,
-    padded."""
+    padded.  When the segment z1 -> z2 leaves D (its grading does not
+    resolve), the geodesic goes round the tip of a slit, and the box also
+    holds the disc about the tip through the farther endpoint."""
     pad = abs(z1 - z2) + 2.0 * max(
         domains.boundary_distance(D, z1), domains.boundary_distance(D, z2)
     )
@@ -256,7 +258,33 @@ def _grid_box(D: Domain, z1: complex, z2: complex):
     xmax = max(z1.real, z2.real) + pad
     ymin = min(z1.imag, z2.imag) - pad
     ymax = max(z1.imag, z2.imag) + pad
+    tip = domains.slit_tip(D)
+    if tip is not None and not _grade(D, np.array([z1, z2]), _PIECE_C)[1]:
+        r = max(abs(z1 - tip), abs(z2 - tip))
+        xmin, xmax = min(xmin, tip.real - r), max(xmax, tip.real + r)
+        ymin, ymax = min(ymin, tip.imag - r), max(ymax, tip.imag + r)
     return xmin, xmax, ymin, ymax
+
+
+# The grid graph's eight slots a row: the steps (di, dj) to the higher nodes
+# (0, 1), (1, -1), (1, 0) and (1, 1), then their reverses, so that slot 7 - s
+# holds the reverse of slot s.  _SLOT[di + 1, dj + 1] is the slot of a step.
+_SLOT = np.array([[4, 5, 6], [7, -1, 0], [1, 2, 3]])
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_columns(n: int):
+    """(indices, indptr) of the n x n grid graph's CSR matrix in _SLOT's
+    order; a slot past the grid's edge points at any column.  They depend on
+    n only and are read-only, as every graph of size n shares them."""
+    offsets = np.array([1, n - 1, n, n + 1, -n - 1, -n, 1 - n, -1],
+                       dtype=np.int32)
+    idx = np.arange(n * n, dtype=np.int32)
+    cols = np.clip(idx[:, None] + offsets, 0, n * n - 1).ravel()
+    indptr = np.arange(0, 8 * n * n + 1, 8, dtype=np.int32)
+    for arr in (cols, indptr):
+        arr.flags.writeable = False
+    return cols, indptr
 
 
 def _grid_graph(D: Domain, box, n: int):
@@ -285,37 +313,39 @@ def _grid_graph(D: Domain, box, n: int):
     d[valid] = domains.delta_vec(D, nodes[valid])
     valid &= d > 0.5 * cell
 
-    flat = nodes.ravel()
-    vflat = valid.ravel()
-    idx = np.arange(n * n)
-
-    # eight slots per row: the steps (0, 1), (1, -1), (1, 0) and (1, 1) to
-    # higher nodes, then their reverses, so slot 7 - s holds the reverse of
-    # slot s; inf, which dijkstra never relaxes, where there is no edge
-    offsets = np.array([1, n - 1, n, n + 1, -n - 1, -n, 1 - n, -1],
-                       dtype=np.int32)
-    table = np.full((n * n, 8), np.inf)
     weightf = _weight_fn("quasihyperbolic", D)
-    for slot, (di, dj) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1))):
-        src = idx.reshape(n, n)
-        i0 = src[max(0, -di): n - max(0, di), max(0, -dj): n - max(0, dj)].ravel()
-        i1 = i0 + di * n + dj
-        ok = vflat[i0] & vflat[i1]
-        i0, i1 = i0[ok], i1[ok]
-        mids = 0.5 * (flat[i0] + flat[i1])
-        inside = domains.contains_vec(D, mids)
-        i0, i1, mids = i0[inside], i1[inside], mids[inside]
-        w = np.abs(flat[i1] - flat[i0]) * weightf(mids)
-        table[i0, slot] = table[i1, 7 - slot] = w
+
+    def inverse_delta(mids, wanted):
+        # 1/delta at the wanted midpoints inside D, inf (no edge) elsewhere
+        inside = wanted & domains.contains_vec(D, mids)
+        inv = np.full(mids.shape, np.inf)
+        inv[inside] = weightf(mids[inside])
+        return inv
+
+    # slot s: the grid slices of the edges' lower and higher ends
+    every, lo, hi = slice(None), slice(None, -1), slice(1, None)
+    ends = [((every, lo), (every, hi)), ((lo, hi), (hi, lo)),
+            ((lo, every), (hi, every)), ((lo, lo), (hi, hi))]
+    both = [valid[s0] & valid[s1] for s0, s1 in ends]
+    # the midpoints of the steps (0, 1) and (1, 0), and the cell centres,
+    # where both diagonals of a cell cross: three lattices for four slots
+    up, centre, across = (
+        inverse_delta(0.5 * (nodes[s0] + nodes[s1]), wanted)
+        for (s0, s1), wanted in ((ends[0], both[0]),
+                                 (ends[3], both[1] | both[3]),
+                                 (ends[2], both[2])))
+    inv = [up, np.where(both[1], centre, np.inf), across,
+           np.where(both[3], centre, np.inf)]
+    table = np.full((n, n, 8), np.inf)
+    for slot, (s0, s1) in enumerate(ends):
+        w = np.abs(nodes[s1] - nodes[s0]) * inv[slot]
+        table[s0 + (slot,)] = table[s1 + (7 - slot,)] = w
     if np.isinf(table).all():
         raise NoGridPathError("grid too coarse: no edges inside the domain")
-    # a slot past the grid's edge has no edge; any column will do
-    cols = np.clip(idx.astype(np.int32)[:, None] + offsets, 0, n * n - 1)
-    graph = csr_matrix(
-        (table.ravel(), cols.ravel(),
-         np.arange(0, 8 * n * n + 1, 8, dtype=np.int32)),
-        shape=(n * n, n * n))
-    for arr in (graph.data, graph.indices, graph.indptr, flat, vflat):
+    cols, indptr = _grid_columns(n)
+    graph = csr_matrix((table.ravel(), cols, indptr), shape=(n * n, n * n))
+    flat, vflat = nodes.ravel(), valid.ravel()
+    for arr in (graph.data, flat, vflat):
         arr.flags.writeable = False
     return graph, flat, vflat
 
@@ -324,8 +354,22 @@ def _grid_graph(D: Domain, box, n: int):
 def _bounded_grid_graph(D: Domain, n: int):
     """_grid_graph on D's bounding box.  The box, and so the graph, depends
     on D and n only, so consecutive solves in one bounded domain build it
-    once; one entry (about 2.3 MB at n = 200)."""
+    once; one entry (4.7 MB at n = 200, 1.4 MB of it _grid_columns)."""
     return _grid_graph(D, domains.bounding_box(D), n)
+
+
+def _line_cost(graph, n: int, s: int, t: int) -> float:
+    """Length in the grid graph of the 8-neighbour grid line from node s to
+    node t, whose node k is (i0 + round(k di / m), j0 + round(k dj / m)):
+    an upper bound on the distance from s to t; inf when the line crosses a
+    missing edge."""
+    (i0, j0), (i1, j1) = divmod(s, n), divmod(t, n)
+    m = max(abs(i1 - i0), abs(j1 - j0))
+    k = np.arange(m + 1)
+    i = i0 + np.rint(k * (i1 - i0) / max(m, 1)).astype(int)
+    j = j0 + np.rint(k * (j1 - j0) / max(m, 1)).astype(int)
+    slot = _SLOT[np.diff(i) + 1, np.diff(j) + 1]
+    return float(np.sum(graph.data[8 * (i[:-1] * n + j[:-1]) + slot]))
 
 
 def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
@@ -350,9 +394,12 @@ def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
         return j
 
     s, t = snap(z1), snap(z2)
-    dist, pred = dijkstra(
-        graph, directed=True, indices=s, return_predecessors=True
-    )
+    # every node of a shortest path from s to t is no farther from s than
+    # the grid line is long, so the search stops there; the slack covers
+    # the rounding of the two sums
+    limit = _line_cost(graph, n, s, t) * (1.0 + 1e-9)
+    dist, pred = dijkstra(graph, directed=True, indices=s,
+                          return_predecessors=True, limit=limit)
     if not np.isfinite(dist[t]):
         raise NoGridPathError("grid disconnects the endpoints")
     path = [t]
@@ -498,7 +545,8 @@ def quasihyperbolic_distance(D: Domain, z1: complex, z2: complex,
     """Quasihyperbolic distance and the relaxed geodesic polyline.
 
     Stage 1: Dijkstra on an 8-connected grid restricted to D (edge weight =
-    Euclidean length / delta at the midpoint).  Stage 2: monotone local
+    Euclidean length / delta at the midpoint), searched no farther than the
+    grid line between the endpoints costs.  Stage 2: monotone local
     relaxation of the node positions.  Returns (distance, Polyline); the
     geodesic is None for coincident endpoints.
     """

@@ -104,6 +104,16 @@ def test_distance_qhyp_and_geodesic_round_trip(tmp_path, capsys):
     assert abs(requad - printed) <= 1e-9
 
 
+def test_distance_qhyp_round_the_slit_tip(capsys):
+    # the pair straddles the slit 3/4 from its tip: the grid box must hold
+    # the detour round the tip, or the grid disconnects the endpoints
+    code, out, err = run(capsys, "distance", "--domain", "koebe-slit",
+                         "--metric", "qhyp", "--from", "-1,0.01",
+                         "--to", "-1,-0.01")
+    assert (code, err) == (0, "")
+    assert float(out) == pytest.approx(13.16449, abs=1e-5)
+
+
 def test_verify_json_and_determinism(capsys):
     argv = ["verify", "--kind", "thm21", "--map", "koebe",
             "--domain", "disk", "--samples", "1000", "--seed", "42"]
