@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -22,13 +23,18 @@ from .errors import ConformalMetricsError, at_point
 __all__ = ["main", "parse_domain_spec", "parse_complex"]
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
 def parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"bad complex literal {text!r} (want re or re,im)")
+    if len(parts) not in (1, 2):
+        raise ValueError(f"bad complex literal {text!r} (want re or re,im)")
+    return complex(*(_finite(part) for part in parts))
 
 
 _DOMAIN_TAGS = {
@@ -171,7 +177,7 @@ def _cmd_sweep(args) -> int:
     f = maps.parse_map_spec(args.map) if args.map else None
     if f is None and args.quantity != "pdisk-ratio":
         raise ValueError(f"--quantity {args.quantity} needs --map")
-    a, b = float(getattr(args, "from")), float(args.to)
+    a, b = _finite(getattr(args, "from")), _finite(args.to)
     params = np.linspace(a, b, args.steps)
     if args.quantity == "pdisk-ratio":
         values = [verify.punctured_disk_ratio(t) for t in params]

@@ -288,7 +288,7 @@ def checked_image_delta(f: AnalyticMap, base: Domain, z: np.ndarray,
         faults.flag(True, NoDensityRouteError(
             f"no catalog image domain for {f.describe()}"))
         return np.full(z.shape, np.nan)
-    domains.require_inside(base, z, faults)
+    domains.checked_delta(base, z, faults)
     if jet is None:
         jet = checked_jet(f, z, faults)
     return domains.checked_delta(f.image_domain, jet.f0, faults)

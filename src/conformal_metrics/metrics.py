@@ -93,13 +93,18 @@ def _weight_fn(density: str, D: Domain):
 
 def _scale(D: Domain, z: np.ndarray) -> np.ndarray:
     """Rows: the radius about z on which 1/delta is analytic, at least
-    _KINK_C delta, and the piece of delta's closed form that is least at z
-    (domains.radius_vec, domains.piece_vec)."""
-    d = domains.delta_vec(D, z)
+    _KINK_C delta (domains.radius_vec), and the index of the piece of
+    delta's closed form that is least at z, the earlier one on a tie."""
+    pieces = domains.entry(D).pieces(z, *D.params)
+    d, label = pieces[0], 0
+    for k, p in enumerate(pieces[1:], 1):
+        label = np.where(p < d, k, label)
+        np.minimum(d, p, out=d)  # the pieces are fresh arrays
     radius = domains.radius_vec(D, z)
-    if radius is not None:
-        d = np.maximum(radius, _KINK_C * d)
-    return np.stack([d, domains.piece_vec(D, z)])
+    out = np.empty((2,) + d.shape)
+    out[0] = d if radius is None else np.maximum(radius, _KINK_C * d)
+    out[1] = label
+    return out
 
 
 def _grade(D: Domain, p: np.ndarray, c: float):
@@ -306,21 +311,15 @@ def _grid_graph(D: Domain, box, n: int):
     cell = max(xs[1] - xs[0], ys[1] - ys[0])
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     nodes = gx + 1j * gy
-    valid = domains.contains_vec(D, nodes)
     # Exclude nodes closer than half a cell to the boundary: their 1/delta
     # weights blow up and can tunnel across slits and punctures.
-    d = np.where(valid, 1.0, np.nan)
-    d[valid] = domains.delta_vec(D, nodes[valid])
-    valid &= d > 0.5 * cell
-
-    weightf = _weight_fn("quasihyperbolic", D)
+    valid = domains.delta_vec(D, nodes) > 0.5 * cell
 
     def inverse_delta(mids, wanted):
         # 1/delta at the wanted midpoints inside D, inf (no edge) elsewhere
-        inside = wanted & domains.contains_vec(D, mids)
-        inv = np.full(mids.shape, np.inf)
-        inv[inside] = weightf(mids[inside])
-        return inv
+        d = domains.delta_vec(D, mids)
+        return np.divide(1.0, d, out=np.full(mids.shape, np.inf),
+                         where=wanted & (d > 0.0))
 
     # slot s: the grid slices of the edges' lower and higher ends
     every, lo, hi = slice(None), slice(None, -1), slice(1, None)
@@ -502,9 +501,7 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
                 disp[over] *= cap[over] / mag[over]
             trial = p.copy()
             trial[1:-1] = p[1:-1] + disp
-            if np.all(domains.contains_vec(D, trial[1:-1])) and np.all(
-                domains.delta_vec(D, trial[1:-1]) > 1e-12
-            ):
+            if np.all(domains.delta_vec(D, trial[1:-1]) > 1e-12):
                 grading_new, resolved, c_new = costs(trial)
                 f_new = float(np.sum(c_new))
                 if resolved and f_new < f_cur:

@@ -29,6 +29,13 @@ def test_parse_complex():
         parse_complex("1,2,3")
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "0,nan", "inf,1",
+                                  "0,-inf", "1e400", "NaN,0"])
+def test_parse_complex_rejects_non_finite_parts(text):
+    with pytest.raises(ValueError, match="is not a finite number"):
+        parse_complex(text)
+
+
 def test_parse_domain_spec():
     assert parse_domain_spec("disk").kind == "unit_disk"
     assert parse_domain_spec("pdisk").kind == "punctured_disk"
@@ -268,6 +275,28 @@ def test_negative_complex_literals_are_values(capsys, argv, want):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert float(out) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["density", "--domain", "disk", "--at", "nan"], "nan"),
+    (["delta", "--domain", "uhp", "--at", "0,inf"], "inf"),
+    (["delta", "--domain", "koebe-slit", "--at", "nan"], "nan"),
+    (["ratio", "--map", "koebe", "--domain", "disk", "--at", "0.1,nan"],
+     "nan"),
+    (["distance", "--domain", "disk", "--metric", "hyp",
+      "--from", "inf", "--to", "0"], "inf"),
+    (["distance", "--domain", "uhp", "--metric", "qhyp",
+      "--from", "0,1", "--to", "0,inf"], "inf"),
+    (["sweep", "--quantity", "ratio", "--map", "koebe", "--domain", "disk",
+      "--from", "0", "--to", "nan", "--steps", "3"], "nan"),
+    (["sweep", "--quantity", "pdisk-ratio", "--domain", "pdisk",
+      "--from", "1e400", "--to", "0.5", "--steps", "3"], "1e400"),
+], ids=["density", "delta", "delta-koebe", "ratio", "distance-hyp",
+        "distance-qhyp", "sweep-to", "sweep-from"])
+def test_non_finite_literals_are_usage_errors(capsys, argv, bad):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad!r} is not a finite number\n"
 
 
 def test_eps_below_float_resolution_is_usage_error(capsys):

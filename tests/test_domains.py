@@ -10,6 +10,7 @@ from conformal_metrics import (
     NoDensityRouteError,
     OutsideDomainError,
     SampleSet,
+    SingularPointError,
     boundary_distance,
     cayley_map,
     compose_maps,
@@ -20,6 +21,7 @@ from conformal_metrics import (
     koebe_map,
     koebe_slit_plane,
     log_strip,
+    power_map,
     punctured_disk,
     pushforward_density,
     slit_disk,
@@ -134,6 +136,83 @@ def test_contains_basic():
     assert not contains(slit_disk(0), -0.5)
     assert contains(log_strip(1), -1 + 0j)
     assert not contains(log_strip(1), 1 + 0j)
+
+
+_TINY = 5e-324                 # the least denormal
+_BELOW_ONE = 1 - 2 ** -53      # the float next below 1
+_BELOW_PI = math.pi - 2 ** -51
+_INF, _NAN = math.inf, math.nan
+
+# kind -> (points inside, points outside): zeros of either sign, boundary
+# and slit points, the tips, the floats next to the boundary, denormals and
+# infinities
+_EDGES = {
+    "unit_disk": (
+        [0j, complex(-0.0, -0.0), _BELOW_ONE, -_BELOW_ONE, _BELOW_ONE * 1j,
+         _TINY, complex(0.6, -0.5)],
+        [1, -1, 1j, -1j, 1 + 2 ** -52, complex(_INF, 0), complex(0, -_INF),
+         complex(_INF, _INF)]),
+    "punctured_disk": (
+        [_TINY, complex(0, -_TINY), _BELOW_ONE, 0.5, -0.5j],
+        [0j, complex(-0.0, 0.0), complex(-0.0, -0.0), 1, -1j,
+         complex(_INF, 0), complex(-_INF, 1)]),
+    "upper_half_plane": (
+        [_TINY * 1j, complex(-1e300, 1), complex(-0.0, 1),
+         complex(1e300, _TINY)],
+        [0j, complex(1, -0.0), complex(5, -_TINY), -1j, complex(0, -_INF),
+         complex(_INF, 0)]),
+    "koebe_slit_plane": (
+        [0j, complex(-0.0, -0.0), complex(-0.25, _TINY),
+         complex(-0.25, -_TINY), complex(-0.25 + 2 ** -54, 0),
+         complex(-5, _TINY),
+         complex(-1e300, 1e-300), 1e300],
+        [-0.25, complex(-0.25, -0.0), -1, complex(-5, -0.0), -1e300,
+         complex(-_INF, 0)]),
+    "slit_disk": (
+        [0.5, _TINY, complex(0, _TINY), complex(-0.5, _TINY),
+         complex(-0.5, -_TINY), complex(-0.0, 0.5), _BELOW_ONE,
+         complex(-0.5, 0.5)],
+        [0j, complex(-0.0, 0), complex(0, -0.0), -0.5, complex(-0.5, -0.0),
+         -_BELOW_ONE, 1, -1, 1j, complex(_INF, 0), complex(-_INF, 0)]),
+    "log_strip": (
+        [-_TINY, complex(-1, _BELOW_PI), complex(-1, -_BELOW_PI),
+         complex(-1e300, 0), complex(-_TINY, 3)],
+        [0j, complex(-0.0, 0), complex(-1, math.pi), complex(-1, -math.pi),
+         1, complex(0, 1), complex(-_INF, 0), complex(-1, _INF)]),
+}
+_EDGE_DOMAINS = [unit_disk(), punctured_disk(), upper_half_plane(),
+                 koebe_slit_plane(), slit_disk(0), log_strip(1)]
+
+
+@pytest.mark.parametrize("D", _EDGE_DOMAINS, ids=lambda D: D.kind)
+def test_membership_at_edge_points(D):
+    inside, outside = _EDGES[D.kind]
+    for z, want in [(z, True) for z in inside] + [(z, False) for z in outside]:
+        assert contains(D, z) is want, z
+        one = np.array([complex(z)])
+        with np.errstate(all="ignore"):  # the kernels leave inf / c to warn
+            assert domains.contains_vec(D, one)[0] == want, z
+            # one formula: membership is delta > 0
+            if cmath.isfinite(z):
+                assert (domains.delta_vec(D, one)[0] > 0) == want, z
+
+
+@pytest.mark.parametrize("D", _EDGE_DOMAINS, ids=lambda D: D.kind)
+def test_nan_is_outside(D):
+    for z in (complex(_NAN, 0), complex(0, _NAN), complex(_NAN, _NAN),
+              complex(-1, _NAN), complex(_NAN, 0.5), complex(-3, _NAN)):
+        assert not contains(D, z), z
+    with pytest.raises(OutsideDomainError):
+        boundary_distance(D, complex(_NAN, 0.5))
+
+
+def test_pushforward_density_error_types():
+    with pytest.raises(OutsideDomainError):
+        pushforward_density(cayley_map(), unit_disk(), 2.0)
+    with pytest.raises(OutsideDomainError):
+        pushforward_density(cayley_map(), unit_disk(), complex(_NAN, 0))
+    with pytest.raises(SingularPointError, match="f'"):
+        pushforward_density(power_map(2), unit_disk(), 0)
 
 
 def test_boundary_distance_disk_and_pdisk():

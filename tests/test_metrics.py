@@ -325,6 +325,82 @@ def test_grade_bounds_every_piece(D, z1, z2):
                       <= bound * (1 + 1e-9))
 
 
+_S = math.sqrt(0.4)  # slit disk, Im u = 0.3: the side meets the circle
+_P1 = math.pi - 1    # log strip, Re w = -1 or Im w = 1: the end meets an edge
+
+
+def _labels(D, z):
+    """_scale's index of the least piece of delta at the points z."""
+    return metrics._scale(D, np.asarray(z, dtype=complex))[1]
+
+
+# (domain, transversal's ends, the points t in [0, 1] where it crosses a
+# kink line of delta, the labels between them)
+_KINK_TRANSVERSALS = {
+    "pdisk": (punctured_disk(), 0.05 * cmath.exp(0.7j),
+              0.95 * cmath.exp(0.7j), [0.5], [1, 0]),
+    "koebe": (koebe_slit_plane(), -1.3 + 0.3j, 0.7 + 0.3j, [0.525], [0, 1]),
+    "koebe-low": (koebe_slit_plane(), -1.3 - 1e-3j, 0.7 - 1e-3j, [0.525],
+                  [0, 1]),
+    # the circle, the side, the tip and the circle again
+    "slit-disk": (slit_disk(0), -0.9 + 0.3j, 0.9 + 0.3j,
+                  [(0.9 - _S) / 1.8, 0.5, 1.3 / 1.8], [0, 2, 1, 0]),
+    "slit-disk-c": (slit_disk(0.25 - 0.5j), -0.65 - 0.8j, 1.15 - 0.8j,
+                    [(0.9 - _S) / 1.8, 0.5, 1.3 / 1.8], [0, 2, 1, 0]),
+    # the side meets the circle at Im u = -3/8 on Re u = -1/2
+    "slit-disk-below": (slit_disk(0), -0.5 - 0.05j, -0.5 - 0.8j,
+                        [0.325 / 0.75], [2, 0]),
+    "log-strip-end": (log_strip(1), -5 + 1j, -0.1 + 1j,
+                      [(5 - _P1) / 4.9], [1, 0]),
+    "log-strip-edges": (log_strip(1), -5 - 3j, -5 + 3j, [0.5], [2, 1]),
+    "log-strip-c": (log_strip(3.7 + 1.1j), (3.7 + 1.1j) * (-1 - 3j),
+                    (3.7 + 1.1j) * (-1 + 3j),
+                    [(3 - _P1) / 6, (3 + _P1) / 6], [2, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(_KINK_TRANSVERSALS))
+def test_kink_labels_change_at_the_kink_lines_only(name):
+    D, z1, z2, kinks, labels = _KINK_TRANSVERSALS[name]
+    t = np.linspace(0.0, 1.0, 1000)
+    # no sample is on a kink line: either side of it the label is known
+    assert np.min(np.abs(t[:, None] - np.array(kinks))) > 1e-6
+    got = _labels(D, z1 + (z2 - z1) * t)
+    want = np.array(labels)[np.searchsorted(kinks, t)]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("D, z, label", [
+    # a tie keeps the earlier piece: the circle before the puncture
+    (punctured_disk(), 0.5, 0),
+    (punctured_disk(), -0.5j, 0),
+    (punctured_disk(), math.nextafter(0.5, 0), 1),
+    # the side of the Koebe slit, then its tip: left of Re z = -1/4 the
+    # label is the side's though |z + 1/4| rounds to |Im z|
+    (koebe_slit_plane(), complex(math.nextafter(-0.25, -1), 1), 0),
+    (koebe_slit_plane(), complex(math.nextafter(-0.25, -1), 0.5), 0),
+    (koebe_slit_plane(), complex(math.nextafter(-0.25, -1), 1e-3), 0),
+    (koebe_slit_plane(), complex(-0.25, 1e-3), 1),
+    # the slit disk's circle, tip and side: 1 - |u| = |u| at 1/2, and
+    # 1 - |u| = |Im u| at -1/2 + 3i/8, where |u| = 5/8
+    (slit_disk(0), 0.5, 0),
+    (slit_disk(0), -0.5 + 0.375j, 0),
+    (slit_disk(0), complex(-0.0, 0.1), 1),
+    (slit_disk(0), complex(-5e-324, 0.1), 2),
+    # the log strip's end, upper and lower edge
+    (log_strip(1), complex(-1, _P1), 0),
+    (log_strip(1), complex(-1, -_P1), 0),
+    (log_strip(1), -5 + 0j, 1),
+])
+def test_kink_labels_at_ties(D, z, label):
+    pieces = domains.entry(D).pieces(np.array([complex(z)]), *D.params)
+    d = domains.delta_vec(D, np.array([complex(z)]))
+    # the piece labelled is the least, and no earlier piece is as small
+    assert pieces[label][0] == d[0]
+    assert all(p[0] > d[0] for p in pieces[:label])
+    assert _labels(D, [z])[0] == label
+
+
 def test_stacked_graded_costs_equal_separate_calls():
     D = upper_half_plane()
     p = _initial_path(D, 0.001j, 2 + 0.001j)
