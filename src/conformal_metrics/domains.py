@@ -96,15 +96,18 @@ def log_strip(c: complex = 1 + 0j) -> Domain:
 class Kind:
     pieces: Callable                 # delta's analytic pieces; see delta_vec
     psi: Callable                    # (psi, psi')
-    bbox: Callable = lambda *params: None
-    radius: Callable | None = None   # see radius_vec; None: delta
-    tip: Callable | None = None      # see slit_tip
+    # radius of a disc about z on which the least piece of delta is
+    # analytic, where that is less than delta; None: delta, as only the
+    # disk's 1 - |z| is singular inside D (at its centre)
+    radius: Callable | None = None
+    # the finite end of a slit running to infinity, which a path between
+    # the slit's sides must go round
+    tip: Callable | None = None
     simply_connected: bool = True
     sample_map: str | None = None    # catalog map carrying disk samples onto D
-    centre: Callable | None = None   # or the shift of disk samples into D
-
-
-_UNIT_BOX = (-1.0, 1.0, -1.0, 1.0)
+    # or the shift of disk samples into D, which lies in the unit disk about
+    # it: the solver's grid box
+    centre: Callable | None = None
 
 
 def _cayley(z):
@@ -160,14 +163,13 @@ def _log_strip_psi(z, c):
 _KINDS = {
     "unit_disk": Kind(
         pieces=lambda z: [1.0 - np.abs(z)],
-        psi=_cayley,
-        bbox=lambda: _UNIT_BOX, centre=lambda: 0j,
+        psi=_cayley, centre=lambda: 0j,
         radius=lambda z: np.minimum(np.abs(z), 1.0 - np.abs(z)),
     ),
     "punctured_disk": Kind(
         pieces=lambda z: [1.0 - (r := np.abs(z)), r],
         psi=lambda z: (-1j * np.log(z), -1j / z),  # local branches only
-        bbox=lambda: _UNIT_BOX, simply_connected=False, centre=lambda: 0j,
+        simply_connected=False, centre=lambda: 0j,
     ),
     "upper_half_plane": Kind(
         # a fresh array, NaN where a NaN real part makes no point
@@ -181,9 +183,7 @@ _KINDS = {
         psi=_koebe_psi, sample_map="koebe", tip=lambda: -0.25 + 0j,
     ),
     "slit_disk": Kind(
-        _slit_disk_pieces, _slit_disk_psi,
-        bbox=lambda c: (c.real - 1.0, c.real + 1.0, c.imag - 1.0, c.imag + 1.0),
-        centre=lambda c: c,
+        _slit_disk_pieces, _slit_disk_psi, centre=lambda c: c,
     ),
     "log_strip": Kind(_log_strip_pieces, _log_strip_psi),
 }
@@ -212,22 +212,6 @@ def delta_vec(D: Domain, z: np.ndarray) -> np.ndarray:
     return functools.reduce(_least, entry(D).pieces(z, *D.params))
 
 
-def radius_vec(D: Domain, z: np.ndarray) -> np.ndarray | None:
-    """Radius of a disc about interior points on which the least piece of
-    delta is analytic, where it is less than delta: None but for the unit
-    disk, whose 1 - |z| is not analytic at its centre; the other pieces are
-    singular on the boundary only."""
-    radius = entry(D).radius
-    return None if radius is None else radius(z, *D.params)
-
-
-def slit_tip(D: Domain) -> complex | None:
-    """The finite end of a slit of D that runs to infinity, or None: a path
-    between the slit's two sides must go round it."""
-    tip = entry(D).tip
-    return None if tip is None else tip(*D.params)
-
-
 def density_vec(D: Domain, z: np.ndarray) -> np.ndarray:
     """Hyperbolic density of interior points, curvature -4 normalization:
     the half-plane density 1/(2 Im w) pulled back, |psi'| / (2 Im psi)."""
@@ -238,11 +222,6 @@ def density_vec(D: Domain, z: np.ndarray) -> np.ndarray:
 
 def simply_connected(D: Domain) -> bool:
     return entry(D).simply_connected
-
-
-def bounding_box(D: Domain):
-    """(xmin, xmax, ymin, ymax) for bounded catalog domains, else None."""
-    return entry(D).bbox(*D.params)
 
 
 def outside_error(D: Domain, z: complex) -> OutsideDomainError:

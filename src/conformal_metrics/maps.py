@@ -281,7 +281,11 @@ def checked_image_delta(f: AnalyticMap, base: Domain, z: np.ndarray,
     """delta of f(base) at f(z), in the catalog image domain of f, at every
     point of z, flagging in `faults` what image_boundary_distance raises at
     each point.  `jet` is the jet of f at z when the caller has it; its
-    errors are then flagged already."""
+    errors are then flagged already.  The image domain is that of f's base
+    domain: ValueError for any other base."""
+    if base != f.base_domain:
+        raise ValueError(f"kind/domain mismatch: {f.describe()} has base "
+                         f"domain {f.base_domain}, got {base}")
     if not f.univalent:
         faults.flag(True, MapNotUnivalentError(f"{f.kind} is not univalent"))
     if f.image_domain is None:

@@ -41,6 +41,9 @@ _PIECE_C = 0.5
 _KINK_C = 1e-4
 _FANOUT = 4
 _MIN_WIDTH = 2.0 ** -60
+# The relaxation moves a node by at most _RELAX_STEP times its delta per
+# iteration.
+_RELAX_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,6 @@ class Polyline:
 class SolverConfig:
     grid_resolution: int = 200
     relax_iterations: int = 500
-    relax_step: float = 0.1        # fraction of local delta
     path_nodes: int = 128
     tolerance: float = 1e-6        # relative improvement stopping threshold
 
@@ -76,8 +78,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be at least 2")
         if self.relax_iterations <= 0:
             raise ValueError("solver parameters must be positive")
-        if not (0 < self.relax_step and 0 < self.tolerance < 1):
-            raise ValueError("bad relax_step or tolerance")
+        if not 0 < self.tolerance < 1:
+            raise ValueError("bad tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +95,17 @@ def _weight_fn(density: str, D: Domain):
 
 def _scale(D: Domain, z: np.ndarray) -> np.ndarray:
     """Rows: the radius about z on which 1/delta is analytic, at least
-    _KINK_C delta (domains.radius_vec), and the index of the piece of
-    delta's closed form that is least at z, the earlier one on a tie."""
-    pieces = domains.entry(D).pieces(z, *D.params)
+    _KINK_C delta (Kind.radius), and the index of the piece of delta's
+    closed form that is least at z, the earlier one on a tie."""
+    kind = domains.entry(D)
+    pieces = kind.pieces(z, *D.params)
     d, label = pieces[0], 0
     for k, p in enumerate(pieces[1:], 1):
         label = np.where(p < d, k, label)
         np.minimum(d, p, out=d)  # the pieces are fresh arrays
-    radius = domains.radius_vec(D, z)
     out = np.empty((2,) + d.shape)
-    out[0] = d if radius is None else np.maximum(radius, _KINK_C * d)
+    out[0] = (d if kind.radius is None
+              else np.maximum(kind.radius(z, *D.params), _KINK_C * d))
     out[1] = label
     return out
 
@@ -252,10 +255,16 @@ def hyperbolic_distance(D: Domain, z1: complex, z2: complex) -> float:
 # quasihyperbolic geodesic solver
 
 def _grid_box(D: Domain, z1: complex, z2: complex):
-    """The grid's box on an unbounded domain: the endpoints' bounding box,
-    padded.  When the segment z1 -> z2 leaves D (its grading does not
+    """(xmin, xmax, ymin, ymax) of the grid.  A kind with a centre lies in
+    the unit disk about it, so its box is the square about the centre, the
+    same for every pair.  Otherwise it is the endpoints' bounding box,
+    padded; when the segment z1 -> z2 leaves D (its grading does not
     resolve), the geodesic goes round the tip of a slit, and the box also
     holds the disc about the tip through the farther endpoint."""
+    kind = domains.entry(D)
+    if kind.centre is not None:
+        c = kind.centre(*D.params)
+        return c.real - 1.0, c.real + 1.0, c.imag - 1.0, c.imag + 1.0
     pad = abs(z1 - z2) + 2.0 * max(
         domains.boundary_distance(D, z1), domains.boundary_distance(D, z2)
     )
@@ -263,8 +272,9 @@ def _grid_box(D: Domain, z1: complex, z2: complex):
     xmax = max(z1.real, z2.real) + pad
     ymin = min(z1.imag, z2.imag) - pad
     ymax = max(z1.imag, z2.imag) + pad
-    tip = domains.slit_tip(D)
-    if tip is not None and not _grade(D, np.array([z1, z2]), _PIECE_C)[1]:
+    segment = np.array([z1, z2])
+    if kind.tip is not None and not _grade(D, segment, _PIECE_C)[1]:
+        tip = kind.tip(*D.params)
         r = max(abs(z1 - tip), abs(z2 - tip))
         xmin, xmax = min(xmin, tip.real - r), max(xmax, tip.real + r)
         ymin, ymax = min(ymin, tip.imag - r), max(ymax, tip.imag + r)
@@ -292,6 +302,7 @@ def _grid_columns(n: int):
     return cols, indptr
 
 
+@functools.lru_cache(maxsize=1)
 def _grid_graph(D: Domain, box, n: int):
     """(graph, nodes, valid) of the n x n grid on box: node (i, j) is
     nodes[i * n + j]; graph is the CSR matrix of the 8-neighbour edges
@@ -301,8 +312,13 @@ def _grid_graph(D: Domain, box, n: int):
     each by column, with inf for a missing edge: the order in which an
     undirected dijkstra scans the upper-triangular graph and its transpose,
     so a directed dijkstra on it gives the same dist and pred without
-    transposing on every call.  The arrays are read-only, as the graph of a
-    bounded domain is shared by its solves."""
+    transposing on every call.
+
+    The last graph is kept for the next call with the same D, box and n: a
+    bounded domain's box (_grid_box) is the same for every pair, so
+    consecutive solves in it build the graph once; one entry (4.7 MB at
+    n = 200, 1.4 MB of it _grid_columns).  The arrays are read-only, as the
+    solves share them."""
     from scipy.sparse import csr_matrix
 
     xmin, xmax, ymin, ymax = box
@@ -349,14 +365,6 @@ def _grid_graph(D: Domain, box, n: int):
     return graph, flat, vflat
 
 
-@functools.lru_cache(maxsize=1)
-def _bounded_grid_graph(D: Domain, n: int):
-    """_grid_graph on D's bounding box.  The box, and so the graph, depends
-    on D and n only, so consecutive solves in one bounded domain build it
-    once; one entry (4.7 MB at n = 200, 1.4 MB of it _grid_columns)."""
-    return _grid_graph(D, domains.bounding_box(D), n)
-
-
 def _line_cost(graph, n: int, s: int, t: int) -> float:
     """Length in the grid graph of the 8-neighbour grid line from node s to
     node t, whose node k is (i0 + round(k di / m), j0 + round(k dj / m)):
@@ -378,11 +386,7 @@ def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
     from scipy.sparse.csgraph import dijkstra
 
     n = cfg.grid_resolution
-    # an unbounded domain's box follows the endpoints: nothing to reuse
-    if domains.bounding_box(D) is None:
-        graph, flat, vflat = _grid_graph(D, _grid_box(D, z1, z2), n)
-    else:
-        graph, flat, vflat = _bounded_grid_graph(D, n)
+    graph, flat, vflat = _grid_graph(D, _grid_box(D, z1, z2), n)
 
     def snap(z):
         dist2 = np.abs(flat - z)
@@ -491,7 +495,7 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
             break
         # spring constants: mean weight on each segment over its length
         g = _precondition(c_cur / np.abs(b - a) ** 2, g)
-        cap = cfg.relax_step * domains.delta_vec(D, p[1:-1])
+        cap = _RELAX_STEP * domains.delta_vec(D, p[1:-1])
         accepted = False
         while lr > 1e-14:
             disp = -g * lr

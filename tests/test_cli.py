@@ -145,6 +145,19 @@ def test_verify_exit_code_flips_with_tightened_constant(capsys):
     assert json.loads(out)["violations"]
 
 
+def test_verify_json_lists_the_skipped_samples(capsys):
+    # half-plane samples outside the disk, koebe's base domain, are skipped
+    code, out, _ = run(capsys, "verify", "--kind", "osgood_T_delta", "--map",
+                       "koebe", "--domain", "uhp", "--samples", "50")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["samples_checked"], len(rep["skipped"])) == (26, 24)
+    for skip in rep["skipped"]:
+        x, y = skip["z"]
+        assert skip == {"z": [x, y], "reason": f"{complex(x, y)} outside "
+                                               "base domain of koebe"}
+
+
 def test_verify_thm41_estimates_q(capsys):
     code, out, _ = run(capsys, "verify", "--kind", "thm41", "--map",
                        "identity", "--domain", "disk", "--samples", "100")
@@ -199,6 +212,20 @@ def test_sweep_reports_its_first_failing_point(capsys, argv, message):
                          "--domain", "disk")
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("ratio", "--at", "0,0.9"),
+    ("verify", "--kind", "lemma31", "--samples", "200"),
+    ("sweep", "--quantity", "ratio", "--from", "0.1", "--to", "0.5",
+     "--steps", "3"),
+], ids=["ratio", "verify", "sweep"])
+def test_ratio_off_the_maps_base_domain_is_a_usage_error(capsys, argv):
+    # delta of the image is that of the map's base domain, the disk
+    code, out, err = run(capsys, *argv, "--map", "identity", "--domain", "uhp")
+    assert (code, out) == (2, "")
+    assert err == ("error: kind/domain mismatch: identity has base domain "
+                   "Domain(unit_disk), got Domain(upper_half_plane)\n")
 
 
 def test_sweep_path_option_is_rejected(capsys):

@@ -238,6 +238,17 @@ def test_boundary_distance_slit_disk():
     assert boundary_distance(D, -0.5 + 0.1j) == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: log_strip(0), "log_strip scale must be nonzero"),
+    (lambda: domains.entry(domains.Domain("annulus")),
+     "unknown domain kind 'annulus'"),
+], ids=["log-strip-scale", "unknown-kind"])
+def test_bad_domains_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_boundary_distance_outside_raises():
     with pytest.raises(OutsideDomainError):
         boundary_distance(unit_disk(), 2.0)

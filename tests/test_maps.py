@@ -72,6 +72,16 @@ def test_mobius_parameter_validation():
         mobius_map(0.8 + 0.7j)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: log_slit_map(0, 0), "log_slit scale c must be nonzero"),
+    (lambda: power_map(0), "power exponent must be >= 1"),
+], ids=["log-slit", "power"])
+def test_zero_parameters_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_eval_outside_base_domain_rejected():
     with pytest.raises(OutsideDomainError):
         koebe_map().jet(2.0)
@@ -136,6 +146,11 @@ def test_parse_map_spec_round_trip():
     assert parse_map_spec("power:3").params == (3,)
     ls = parse_map_spec("logslit:0,1")
     assert ls.kind == "log_slit"
+    assert parse_map_spec("logslit:0,0,1,0") == ls
+    assert parse_map_spec("logslit:0.5,-1,2,3").params == (0.5 - 1j, 2 + 3j)
+    with pytest.raises(InvalidParameterError,
+                       match="logslit needs 2 or 4 parameters"):
+        parse_map_spec("logslit:1")
     with pytest.raises(InvalidParameterError):
         parse_map_spec("mobius:0.3,0,0,0")
     with pytest.raises(InvalidParameterError):

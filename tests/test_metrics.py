@@ -224,8 +224,11 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match=f"{field} must be at least 2"):
             SolverConfig(**{field: 1})
         assert getattr(SolverConfig(**{field: 2}), field) == 2
-    with pytest.raises(ValueError):
-        SolverConfig(tolerance=2.0)
+    with pytest.raises(ValueError, match="solver parameters must be positive"):
+        SolverConfig(relax_iterations=0)
+    for tolerance in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match="bad tolerance"):
+            SolverConfig(tolerance=tolerance)
 
 
 def test_geodesic_value_not_above_grid_value():
@@ -457,7 +460,7 @@ def test_grid_graph_gives_the_undirected_dijkstra(D, z1, z2):
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    box = domains.bounding_box(D) or metrics._grid_box(D, z1, z2)
+    box = metrics._grid_box(D, z1, z2)
     graph, _, valid = metrics._grid_graph(D, box, 60)
     rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
     upper = np.isfinite(graph.data) & (graph.indices > rows)
@@ -515,7 +518,7 @@ def test_grid_line_bounds_the_graph_distance(D, z1, z2):
     from scipy.sparse.csgraph import dijkstra
 
     n = 60
-    box = domains.bounding_box(D) or metrics._grid_box(D, z1, z2)
+    box = metrics._grid_box(D, z1, z2)
     graph, flat, valid = metrics._grid_graph(D, box, n)
     s, t = (int(np.argmin(np.where(valid, np.abs(flat - z), np.inf)))
             for z in (z1, z2))
@@ -542,6 +545,19 @@ def _padded_box(D, z1, z2):
 ], ids=["uhp", "uhp-rho", "log-strip", "koebe-above-tip", "koebe-right"])
 def test_grid_box_of_a_segment_inside_is_the_padded_box(D, z1, z2):
     assert metrics._grid_box(D, z1, z2) == _padded_box(D, z1, z2)
+
+
+@pytest.mark.parametrize("D, box", [
+    (unit_disk(), (-1.0, 1.0, -1.0, 1.0)),
+    (punctured_disk(), (-1.0, 1.0, -1.0, 1.0)),
+    (slit_disk(0.625 - 1j), (-0.375, 1.625, -2.0, 0.0)),
+], ids=["disk", "pdisk", "slit-disk"])
+def test_grid_box_of_a_bounded_domain_is_the_square_about_its_centre(D, box):
+    # the same floats for every pair, so consecutive solves share the graph
+    c = domains.entry(D).centre(*D.params)
+    for z1, z2 in ((c + 0.5, c - 0.5j), (c + 0.1 + 0.2j, c - 0.3 + 0.4j)):
+        got = metrics._grid_box(D, z1, z2)
+        assert [x.hex() for x in got] == [x.hex() for x in box]
 
 
 @pytest.mark.parametrize("z1, z2", [(-2 + 0.5j, -2 - 0.5j),
@@ -585,7 +601,7 @@ def test_solver_round_the_slit_tip_is_scale_invariant():
 @pytest.mark.parametrize("D, z1, z2", _GRID_CASES[:2],
                          ids=_GRID_IDS[:2])
 def test_warm_graph_cache_gives_the_cold_solve(D, z1, z2):
-    cache = metrics._bounded_grid_graph
+    cache = metrics._grid_graph
     cache.cache_clear()
     cold = quasihyperbolic_distance_detailed(D, z1, z2)
     hits = cache.cache_info().hits
@@ -597,6 +613,23 @@ def test_warm_graph_cache_gives_the_cold_solve(D, z1, z2):
     assert warm[2] == cold[2]
     # another resolution takes the one entry over
     quasihyperbolic_distance_detailed(D, z1, z2, SolverConfig(grid_resolution=50))
+    assert cache.cache_info().currsize == 1
+
+
+def test_repeated_unbounded_solve_hits_the_graph_cache():
+    # an unbounded domain's box follows the pair: the same pair again finds
+    # its graph, another pair takes the one entry over
+    D, z1, z2 = _GRID_CASES[3]
+    cache = metrics._grid_graph
+    cache.cache_clear()
+    cold = quasihyperbolic_distance_detailed(D, z1, z2)
+    warm = quasihyperbolic_distance_detailed(D, z1, z2)
+    assert cache.cache_info().hits == 1
+    assert warm[0] == cold[0]
+    assert warm[1].points == cold[1].points
+    assert warm[2] == cold[2]
+    quasihyperbolic_distance_detailed(D, z1, 2 * z2)
+    assert cache.cache_info()[:2] == (1, 2)
     assert cache.cache_info().currsize == 1
 
 

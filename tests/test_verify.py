@@ -33,6 +33,7 @@ from conformal_metrics import (
     koebe_map,
     koebe_slit_plane,
     log_slit_map,
+    log_strip,
     mobius_map,
     power_map,
     pre_schwarzian,
@@ -107,17 +108,23 @@ def test_at_point_over_an_array_gives_the_scalar_values():
 
 
 @pytest.mark.parametrize("f, D, points, error, message", [
-    # 0.5 leaves D, a check made after the jet; 2.0 leaves koebe's base
-    # domain, the jet's own check
-    (koebe_map(), upper_half_plane(), [0.5j, 0.5, 2.0], OutsideDomainError,
-     "(0.5+0j) is not an interior point of Domain(upper_half_plane)"),
-    (koebe_map(), upper_half_plane(), [0.5j, 2.0, 0.5], OutsideDomainError,
-     "(2+0j) outside base domain of koebe"),
+    # 2.0 leaves D, a check of the image chain, made after the jet; nan
+    # fails the jet's own finiteness check
+    (identity_map(), unit_disk(), [0.5, 2.0, math.nan], OutsideDomainError,
+     "(2+0j) is not an interior point of Domain(unit_disk)"),
+    # 2.0 leaves the covering's base domain, the jet's own check; 0.5 fails
+    # later, at univalence
+    (punctured_disk_covering_map(), unit_disk(), [2.0, 0.5],
+     OutsideDomainError,
+     "(2+0j) outside base domain of punctured_disk_covering"),
     # 0.5 fails at univalence, 0 at the earlier f' = 0
     (power_map(2), unit_disk(), [0.5, 0j], MapNotUnivalentError,
      "power is not univalent"),
     (power_map(2), unit_disk(), [0j, 0.5], SingularPointError,
      "f'(0j) = 0"),
+    # as the first case, the two failing points swapped
+    (identity_map(), unit_disk(), [0.5, math.nan, 2.0], ValueError,
+     "jet entries must be finite"),
 ])
 def test_at_point_raises_the_first_failing_points_error(f, D, points, error,
                                                         message):
@@ -267,6 +274,17 @@ def test_kind_domain_mismatch():
         check_pointwise_bounds(None, unit_disk(), S, "osgood_T")
     with pytest.raises(ValueError):
         check_pointwise_bounds(koebe_map(), unit_disk(), S, "nonsense")
+    # delta of the image is that of the map's base domain: another domain
+    # would read delta of the wrong image
+    message = ("kind/domain mismatch: identity has base domain "
+               "Domain(unit_disk), got Domain(upper_half_plane)")
+    with pytest.raises(ValueError) as exc:
+        distortion_ratio(identity_map(), upper_half_plane(), 0.9j)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        check_pointwise_bounds(identity_map(), upper_half_plane(), S,
+                               "lemma31")
+    assert str(exc.value) == message
 
 
 def test_osgood_T_delta_sharpness_attained_at_origin():
@@ -325,6 +343,12 @@ def test_distance_comparison_needs_a_univalent_map():
                                          "a univalent map"):
         check_distance_comparison(punctured_disk_covering_map(),
                                   [(0, 0.9), (0.3, -0.3)])
+
+
+def test_distance_comparison_needs_an_image_domain():
+    with pytest.raises(ValueError, match="distance comparison needs a "
+                                         "closed-form image domain"):
+        check_distance_comparison(power_map(2), [(0.1, 0.2)])
 
 
 def test_distance_comparison_coincident_pair():
@@ -665,6 +689,29 @@ def test_near_boundary_eps_below_float_resolution_rejected():
         assert all(abs(z) < 1 for z in pts)
     # the puncture has no such limit
     SampleSet(seed=0, count=10, strategy="near_puncture", eps=1e-300)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"count": 0}, "count must be >= 1"),
+    ({"strategy": "near_puncture", "eps": 0.5}, "eps must lie in"),
+    ({"strategy": "near_boundary", "eps": -1e-3}, "eps must lie in"),
+], ids=["count", "eps-high", "eps-negative"])
+def test_sample_set_rejects_bad_parameters(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SampleSet(**{"seed": 0, "count": 10, **kwargs})
+
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda: SampleSet(0, 10, strategy="bogus").disk_points(),
+     "unknown strategy 'bogus'"),
+    # the log strip has no catalog map from the disk and no centre
+    (lambda: SampleSet(0, 10).points(log_strip(1)),
+     "no sampling strategy for domain kind 'log_strip'"),
+], ids=["unknown-strategy", "log-strip"])
+def test_sampling_without_a_route_raises(draw, message):
+    with pytest.raises(ValueError) as exc:
+        draw()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("n", [1, 2, 5000])
