@@ -1,8 +1,8 @@
 """Hyperbolic and quasihyperbolic metrics on planar hyperbolic regions.
 
 Exact order-3 jet arithmetic for analytic maps, hyperbolic densities and
-distances pulled back from the half-plane, quasihyperbolic geodesics via
-graph search plus path relaxation, and sampling-based verification of the
+distances pulled back from the half-plane, quasihyperbolic geodesics by
+relaxing the hyperbolic geodesic, and sampling-based verification of the
 sharp distortion bounds linking density, delta and the (pre-)Schwarzian.
 """
 
@@ -25,7 +25,6 @@ from .errors import (
     InvalidParameterError,
     MapNotUnivalentError,
     NoDensityRouteError,
-    NoGridPathError,
     NotLocallyUnivalentError,
     OutsideDomainError,
     QuadratureError,

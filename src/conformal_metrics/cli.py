@@ -47,11 +47,12 @@ _DOMAIN_TAGS = {
 
 
 def parse_domain_spec(spec: str) -> Domain:
-    """disk | pdisk | uhp | koebe-slit | slit-disk"""
-    try:
-        return _DOMAIN_TAGS[spec]()
-    except KeyError:
-        raise ValueError(f"unknown domain spec {spec!r}") from None
+    """disk | pdisk | uhp | koebe-slit | slit-disk[:re[,im]], the last with
+    its centre (0 by default)."""
+    tag, colon, centre = spec.partition(":")
+    if tag not in _DOMAIN_TAGS or (colon and tag != "slit-disk"):
+        raise ValueError(f"unknown domain spec {spec!r}")
+    return _DOMAIN_TAGS[tag](*([parse_complex(centre)] if colon else []))
 
 
 def _fmt9(x: float) -> str:
@@ -102,7 +103,6 @@ def _cmd_ratio(args) -> int:
 
 # option dest -> SolverConfig field; each option defaults to its field
 _SOLVER_OPTIONS = {
-    "grid_resolution": "grid_resolution",
     "relax_iterations": "relax_iterations",
     "path_nodes": "path_nodes",
     "solver_tolerance": "tolerance",

@@ -4,7 +4,8 @@ Each domain answers membership, Euclidean boundary distance and hyperbolic
 density (curvature -4 normalization throughout: lambda_disk(z) = 1/(1-|z|^2)).
 The boundary distance delta is the least of a few closed-form pieces,
 and membership is delta > 0; every density is the upper half-plane density
-pulled back through the domain's uniformizer psi.
+pulled back through the domain's uniformizer psi, whose inverse carries
+half-plane geodesics back to the domain.
 """
 
 from __future__ import annotations
@@ -96,17 +97,18 @@ def log_strip(c: complex = 1 + 0j) -> Domain:
 class Kind:
     pieces: Callable                 # delta's analytic pieces; see delta_vec
     psi: Callable                    # (psi, psi')
+    psi_inv: Callable                # the inverse of psi, on the half-plane
     # radius of a disc about z on which the least piece of delta is
     # analytic, where that is less than delta; None: delta, as only the
     # disk's 1 - |z| is singular inside D (at its centre)
     radius: Callable | None = None
-    # the finite end of a slit running to infinity, which a path between
-    # the slit's sides must go round
-    tip: Callable | None = None
-    simply_connected: bool = True
+    # the deck translation of Re psi, whose local branches lift the
+    # universal covering of D by the half-plane; None on a simply connected
+    # kind
+    period: float | None = None
     sample_map: str | None = None    # catalog map carrying disk samples onto D
     # or the shift of disk samples into D, which lies in the unit disk about
-    # it: the solver's grid box
+    # it
     centre: Callable | None = None
 
 
@@ -140,6 +142,16 @@ def _slit_disk_psi(z, c):
     return 0.5j * (1 / r - r), -0.25j * (1 + 1 / u) / r
 
 
+def _slit_disk_psi_inv(w, c):
+    # r is the root of r^2 - 2iwr - 1 = 0 with Re r > 0; the roots are
+    # iw +- sqrt(1 - w^2), whose product is -1, so the one of larger modulus
+    # comes without cancellation and the other is -1/r
+    iw, s = 1j * w, np.sqrt(1 - w * w)
+    big = np.where(np.abs(iw + s) >= np.abs(iw - s), iw + s, iw - s)
+    r = np.where(big.real > 0, big, -1 / big)
+    return c + r * r
+
+
 def _log_strip_pieces(z, c):
     # the end, the upper and the lower edge, scaled by |c|: rounding is
     # monotone, so their least is |c| times the least unscaled one
@@ -163,29 +175,38 @@ def _log_strip_psi(z, c):
 _KINDS = {
     "unit_disk": Kind(
         pieces=lambda z: [1.0 - np.abs(z)],
-        psi=_cayley, centre=lambda: 0j,
+        psi=_cayley, psi_inv=lambda w: (w - 1j) / (w + 1j),
+        centre=lambda: 0j,
         radius=lambda z: np.minimum(np.abs(z), 1.0 - np.abs(z)),
     ),
     "punctured_disk": Kind(
         pieces=lambda z: [1.0 - (r := np.abs(z)), r],
         psi=lambda z: (-1j * np.log(z), -1j / z),  # local branches only
-        simply_connected=False, centre=lambda: 0j,
+        psi_inv=lambda w: np.exp(1j * w), period=2.0 * math.pi,
+        centre=lambda: 0j,
     ),
     "upper_half_plane": Kind(
         # a fresh array, NaN where a NaN real part makes no point
         pieces=lambda z: [np.where(np.isnan(z.real), np.nan, z.imag)],
-        psi=lambda z: (z, np.ones_like(z)), sample_map="cayley",
+        psi=lambda z: (z, np.ones_like(z)), psi_inv=lambda w: w,
+        sample_map="cayley",
     ),
     "koebe_slit_plane": Kind(
         # the slit's side, then its tip
         pieces=lambda z: [np.where(z.real < -0.25, np.abs(z.imag), np.inf),
                           np.abs(z + 0.25)],
-        psi=_koebe_psi, sample_map="koebe", tip=lambda: -0.25 + 0j,
+        # psi = i s with s = sqrt(4z + 1)
+        psi=_koebe_psi, psi_inv=lambda w: ((-1j * w) ** 2 - 1) / 4,
+        sample_map="koebe",
     ),
     "slit_disk": Kind(
-        _slit_disk_pieces, _slit_disk_psi, centre=lambda c: c,
+        _slit_disk_pieces, _slit_disk_psi, _slit_disk_psi_inv,
+        centre=lambda c: c,
     ),
-    "log_strip": Kind(_log_strip_pieces, _log_strip_psi),
+    # the branch of asinh with Re < 0 and |Im| < pi/2 is the principal one
+    # on the half-plane's image i w, whose real part is negative
+    "log_strip": Kind(_log_strip_pieces, _log_strip_psi,
+                      lambda w, c: 2 * c * np.arcsinh(1j * w)),
 }
 
 
@@ -197,13 +218,25 @@ def entry(D: Domain) -> Kind:
 
 
 def _least(d, p):
-    # in place: one array fewer to allocate, on grids of 40 000 points
+    # in place: one array fewer to allocate
     return np.minimum(d, p, out=d)
 
 
+def _inside(D: Domain, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The points z of D, where delta d is positive and z finite; a kind
+    with a centre lies in the unit disk about it, so there d > 0 holds at
+    finite points only."""
+    inside = d > 0.0
+    if entry(D).centre is None:
+        inside &= np.isfinite(z)
+    return inside
+
+
 def contains_vec(D: Domain, z: np.ndarray) -> np.ndarray:
-    """Membership: delta is positive exactly in D (NaN is outside)."""
-    return functools.reduce(_least, entry(D).pieces(z, *D.params)) > 0.0
+    """Membership: delta is positive exactly at the points of D (a NaN or
+    infinite coordinate is outside)."""
+    return _inside(D, z, functools.reduce(_least,
+                                          entry(D).pieces(z, *D.params)))
 
 
 def delta_vec(D: Domain, z: np.ndarray) -> np.ndarray:
@@ -221,7 +254,8 @@ def density_vec(D: Domain, z: np.ndarray) -> np.ndarray:
 
 
 def simply_connected(D: Domain) -> bool:
-    return entry(D).simply_connected
+    """True iff the deck group of D's universal covering is trivial."""
+    return entry(D).period is None
 
 
 def outside_error(D: Domain, z: complex) -> OutsideDomainError:
@@ -230,9 +264,10 @@ def outside_error(D: Domain, z: complex) -> OutsideDomainError:
 
 def checked_delta(D: Domain, z: np.ndarray, faults: Faults) -> np.ndarray:
     """delta_vec, flagging points outside D: those where it is not
-    positive."""
+    positive, and those with an infinite coordinate."""
     d = delta_vec(D, z)
-    faults.flag(~(d > 0.0), lambda i: outside_error(D, complex(z.flat[i])))
+    faults.flag(~_inside(D, z, d),
+                lambda i: outside_error(D, complex(z.flat[i])))
     return d
 
 

@@ -36,10 +36,6 @@ class NoDensityRouteError(ConformalMetricsError):
     """A map has no catalog image domain."""
 
 
-class NoGridPathError(ConformalMetricsError):
-    """Grid Dijkstra could not connect the endpoints."""
-
-
 class QuadratureError(ConformalMetricsError):
     """Graded quadrature did not converge to the requested tolerance."""
 

@@ -201,6 +201,20 @@ def parse_map_spec(spec: str) -> AnalyticMap:
 # ---------------------------------------------------------------------------
 # jet evaluation
 
+# the values of the maps that carry disk samples onto a domain
+# (domains.Kind.sample_map), alone; their jets below start from them
+_VALUES = {
+    "koebe": lambda z: z / (1 - z) ** 2,
+    "cayley": lambda z: 1j * (1 + z) / (1 - z),
+}
+
+
+def sample_values(tag: str, z: np.ndarray) -> np.ndarray:
+    """The values of the catalog map `tag` (a Kind.sample_map) at the points
+    z, bit for bit the f0 of its jets, with no check."""
+    return _VALUES[tag](z)
+
+
 def _jet_formula(f: AnalyticMap, z: np.ndarray, faults: Faults) -> JetArray:
     """Exact jets of f at every point of the array z, flagging in `faults`
     the singular points of the formula and points with non-finite entries.
@@ -211,7 +225,7 @@ def _jet_formula(f: AnalyticMap, z: np.ndarray, faults: Faults) -> JetArray:
     elif kind == "koebe":
         faults.flag(z == 1, SingularPointError("koebe is singular at z = 1"))
         d = 1 - z
-        jet = JetArray(z / d ** 2, (1 + z) / d ** 3,
+        jet = JetArray(_VALUES["koebe"](z), (1 + z) / d ** 3,
                        2 * (2 + z) / d ** 4, 6 * (3 + z) / d ** 5)
     elif kind == "mobius":
         a, theta = f.params
@@ -225,7 +239,7 @@ def _jet_formula(f: AnalyticMap, z: np.ndarray, faults: Faults) -> JetArray:
     elif kind == "cayley":
         faults.flag(z == 1, SingularPointError("cayley is singular at z = 1"))
         d = 1 - z
-        jet = JetArray(1j * (1 + z) / d, 2j / d ** 2, 4j / d ** 3,
+        jet = JetArray(_VALUES["cayley"](z), 2j / d ** 2, 4j / d ** 3,
                        12j / d ** 4)
     elif kind == "log_slit":
         zeta0, c = f.params

@@ -1,11 +1,13 @@
 """Distances: closed-form hyperbolic distance through each domain's
-uniformizer, Gauss-Legendre line quadrature of densities, and a two-stage
-(grid Dijkstra + local relaxation) quasihyperbolic geodesic solver.
+uniformizer, Gauss-Legendre line quadrature of densities, and a
+quasihyperbolic geodesic solver that relaxes the hyperbolic geodesic.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,8 +15,8 @@ import numpy as np
 
 from . import domains
 from .domains import Domain
-from .errors import (NoGridPathError, OutsideDomainError, QuadratureError,
-                     SingularPointError, at_point)
+from .errors import (OutsideDomainError, QuadratureError, SingularPointError,
+                     at_point)
 
 __all__ = [
     "Polyline",
@@ -43,7 +45,7 @@ _FANOUT = 4
 _MIN_WIDTH = 2.0 ** -60
 # The relaxation moves a node by at most _RELAX_STEP times its delta per
 # iteration.
-_RELAX_STEP = 0.1
+_RELAX_STEP = 0.25
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,13 @@ class Polyline:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    grid_resolution: int = 200
     relax_iterations: int = 500
     path_nodes: int = 128
     tolerance: float = 1e-6        # relative improvement stopping threshold
 
     def __post_init__(self):
-        for name in ("grid_resolution", "path_nodes"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2")
+        if self.path_nodes < 2:
+            raise ValueError("path_nodes must be at least 2")
         if self.relax_iterations <= 0:
             raise ValueError("solver parameters must be positive")
         if not 0 < self.tolerance < 1:
@@ -235,15 +235,24 @@ def path_quadrature(density: str, D: Domain, path: Polyline,
 # ---------------------------------------------------------------------------
 # hyperbolic distances
 
+def _reduce(x: float, period: float) -> float:
+    """x less the multiple of period that leaves it in [-period/2,
+    period/2)."""
+    return x - period * math.floor(x / period + 0.5)
+
+
 def hyperbolic_distance(D: Domain, z1: complex, z2: complex) -> float:
     """h_D(z1, z2) = asinh(|w1 - w2| / (2 sqrt(Im w1 Im w2))) with w = psi(z),
     psi the uniformizer of D onto the upper half-plane: the curvature -4
-    closed form, on every simply connected domain."""
-    if not domains.simply_connected(D):
-        raise ValueError(f"hyperbolic distance needs a simply connected "
-                         f"domain, got {D}")
+    closed form.  Where psi is a local branch of the inverse of a covering
+    (Kind.period), h is the least distance between the lifts, and it grows
+    with |Re(w1 - w2)|, which is reduced by the period into [-period/2,
+    period/2)."""
     w1, w2 = at_point(domains.checked_psi, D, [z1, z2])[0].tolist()
-    h = math.asinh(abs(w1 - w2)
+    period = domains.entry(D).period
+    dw = w1 - w2 if period is None else complex(
+        _reduce(w1.real - w2.real, period), w1.imag - w2.imag)
+    h = math.asinh(abs(dw)
                    / (2.0 * math.sqrt(w1.imag) * math.sqrt(w2.imag)))
     if not math.isfinite(h):  # psi, or the ratio, beyond the float range
         raise SingularPointError("hyperbolic distance is not a finite "
@@ -254,164 +263,36 @@ def hyperbolic_distance(D: Domain, z1: complex, z2: complex) -> float:
 # ---------------------------------------------------------------------------
 # quasihyperbolic geodesic solver
 
-def _grid_box(D: Domain, z1: complex, z2: complex):
-    """(xmin, xmax, ymin, ymax) of the grid.  A kind with a centre lies in
-    the unit disk about it, so its box is the square about the centre, the
-    same for every pair.  Otherwise it is the endpoints' bounding box,
-    padded; when the segment z1 -> z2 leaves D (its grading does not
-    resolve), the geodesic goes round the tip of a slit, and the box also
-    holds the disc about the tip through the farther endpoint."""
-    kind = domains.entry(D)
-    if kind.centre is not None:
-        c = kind.centre(*D.params)
-        return c.real - 1.0, c.real + 1.0, c.imag - 1.0, c.imag + 1.0
-    pad = abs(z1 - z2) + 2.0 * max(
-        domains.boundary_distance(D, z1), domains.boundary_distance(D, z2)
-    )
-    xmin = min(z1.real, z2.real) - pad
-    xmax = max(z1.real, z2.real) + pad
-    ymin = min(z1.imag, z2.imag) - pad
-    ymax = max(z1.imag, z2.imag) + pad
-    segment = np.array([z1, z2])
-    if kind.tip is not None and not _grade(D, segment, _PIECE_C)[1]:
-        tip = kind.tip(*D.params)
-        r = max(abs(z1 - tip), abs(z2 - tip))
-        xmin, xmax = min(xmin, tip.real - r), max(xmax, tip.real + r)
-        ymin, ymax = min(ymin, tip.imag - r), max(ymax, tip.imag + r)
-    return xmin, xmax, ymin, ymax
+def _geodesic_start(D: Domain, z1: complex, z2: complex, w1: complex,
+                    w2: complex, m: int) -> np.ndarray:
+    """The hyperbolic geodesic from z1 to z2 as m points at equal Euclidean
+    arc length: psi^-1 of the half-plane geodesic between w1 and w2, lifts
+    of z1 and z2 (psi of them, up to a deck translation).
 
-
-# The grid graph's eight slots a row: the steps (di, dj) to the higher nodes
-# (0, 1), (1, -1), (1, 0) and (1, 1), then their reverses, so that slot 7 - s
-# holds the reverse of slot s.  _SLOT[di + 1, dj + 1] is the slot of a step.
-_SLOT = np.array([[4, 5, 6], [7, -1, 0], [1, 2, 3]])
-
-
-@functools.lru_cache(maxsize=4)
-def _grid_columns(n: int):
-    """(indices, indptr) of the n x n grid graph's CSR matrix in _SLOT's
-    order; a slot past the grid's edge points at any column.  They depend on
-    n only and are read-only, as every graph of size n shares them."""
-    offsets = np.array([1, n - 1, n, n + 1, -n - 1, -n, 1 - n, -1],
-                       dtype=np.int32)
-    idx = np.arange(n * n, dtype=np.int32)
-    cols = np.clip(idx[:, None] + offsets, 0, n * n - 1).ravel()
-    indptr = np.arange(0, 8 * n * n + 1, 8, dtype=np.int32)
-    for arr in (cols, indptr):
-        arr.flags.writeable = False
-    return cols, indptr
-
-
-@functools.lru_cache(maxsize=1)
-def _grid_graph(D: Domain, box, n: int):
-    """(graph, nodes, valid) of the n x n grid on box: node (i, j) is
-    nodes[i * n + j]; graph is the CSR matrix of the 8-neighbour edges
-    between valid nodes whose midpoint lies in D, weighted by Euclidean
-    length / delta at the midpoint.  Each edge is stored in both directions,
-    and row k holds the edges to higher nodes, then those to lower ones,
-    each by column, with inf for a missing edge: the order in which an
-    undirected dijkstra scans the upper-triangular graph and its transpose,
-    so a directed dijkstra on it gives the same dist and pred without
-    transposing on every call.
-
-    The last graph is kept for the next call with the same D, box and n: a
-    bounded domain's box (_grid_box) is the same for every pair, so
-    consecutive solves in it build the graph once; one entry (4.7 MB at
-    n = 200, 1.4 MB of it _grid_columns).  The arrays are read-only, as the
-    solves share them."""
-    from scipy.sparse import csr_matrix
-
-    xmin, xmax, ymin, ymax = box
-    xs = np.linspace(xmin, xmax, n)
-    ys = np.linspace(ymin, ymax, n)
-    cell = max(xs[1] - xs[0], ys[1] - ys[0])
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    nodes = gx + 1j * gy
-    # Exclude nodes closer than half a cell to the boundary: their 1/delta
-    # weights blow up and can tunnel across slits and punctures.
-    valid = domains.delta_vec(D, nodes) > 0.5 * cell
-
-    def inverse_delta(mids, wanted):
-        # 1/delta at the wanted midpoints inside D, inf (no edge) elsewhere
-        d = domains.delta_vec(D, mids)
-        return np.divide(1.0, d, out=np.full(mids.shape, np.inf),
-                         where=wanted & (d > 0.0))
-
-    # slot s: the grid slices of the edges' lower and higher ends
-    every, lo, hi = slice(None), slice(None, -1), slice(1, None)
-    ends = [((every, lo), (every, hi)), ((lo, hi), (hi, lo)),
-            ((lo, every), (hi, every)), ((lo, lo), (hi, hi))]
-    both = [valid[s0] & valid[s1] for s0, s1 in ends]
-    # the midpoints of the steps (0, 1) and (1, 0), and the cell centres,
-    # where both diagonals of a cell cross: three lattices for four slots
-    up, centre, across = (
-        inverse_delta(0.5 * (nodes[s0] + nodes[s1]), wanted)
-        for (s0, s1), wanted in ((ends[0], both[0]),
-                                 (ends[3], both[1] | both[3]),
-                                 (ends[2], both[2])))
-    inv = [up, np.where(both[1], centre, np.inf), across,
-           np.where(both[3], centre, np.inf)]
-    table = np.full((n, n, 8), np.inf)
-    for slot, (s0, s1) in enumerate(ends):
-        w = np.abs(nodes[s1] - nodes[s0]) * inv[slot]
-        table[s0 + (slot,)] = table[s1 + (7 - slot,)] = w
-    if np.isinf(table).all():
-        raise NoGridPathError("grid too coarse: no edges inside the domain")
-    cols, indptr = _grid_columns(n)
-    graph = csr_matrix((table.ravel(), cols, indptr), shape=(n * n, n * n))
-    flat, vflat = nodes.ravel(), valid.ravel()
-    for arr in (graph.data, flat, vflat):
-        arr.flags.writeable = False
-    return graph, flat, vflat
-
-
-def _line_cost(graph, n: int, s: int, t: int) -> float:
-    """Length in the grid graph of the 8-neighbour grid line from node s to
-    node t, whose node k is (i0 + round(k di / m), j0 + round(k dj / m)):
-    an upper bound on the distance from s to t; inf when the line crosses a
-    missing edge."""
-    (i0, j0), (i1, j1) = divmod(s, n), divmod(t, n)
-    m = max(abs(i1 - i0), abs(j1 - j0))
-    k = np.arange(m + 1)
-    i = i0 + np.rint(k * (i1 - i0) / max(m, 1)).astype(int)
-    j = j0 + np.rint(k * (j1 - j0) / max(m, 1)).astype(int)
-    slot = _SLOT[np.diff(i) + 1, np.diff(j) + 1]
-    return float(np.sum(graph.data[8 * (i[:-1] * n + j[:-1]) + slot]))
-
-
-def _grid_dijkstra(D: Domain, z1: complex, z2: complex,
-                   cfg: SolverConfig) -> np.ndarray:
-    # scipy is imported by the solver stages only, so that a process that
-    # never solves does not pay for loading it.
-    from scipy.sparse.csgraph import dijkstra
-
-    n = cfg.grid_resolution
-    graph, flat, vflat = _grid_graph(D, _grid_box(D, z1, z2), n)
-
-    def snap(z):
-        dist2 = np.abs(flat - z)
-        dist2[~vflat] = np.inf
-        j = int(np.argmin(dist2))
-        if not np.isfinite(dist2[j]):
-            raise NoGridPathError("no valid grid node near an endpoint")
-        return j
-
-    s, t = snap(z1), snap(z2)
-    # every node of a shortest path from s to t is no farther from s than
-    # the grid line is long, so the search stops there; the slack covers
-    # the rounding of the two sums
-    limit = _line_cost(graph, n, s, t) * (1.0 + 1e-9)
-    dist, pred = dijkstra(graph, directed=True, indices=s,
-                          return_predecessors=True, limit=limit)
-    if not np.isfinite(dist[t]):
-        raise NoGridPathError("grid disconnects the endpoints")
-    path = [t]
-    while path[-1] != s:
-        path.append(int(pred[path[-1]]))
-    pts = flat[np.array(path[::-1])]
-    full = np.concatenate([[z1], pts, [z2]])
-    keep = np.concatenate([[True], np.abs(np.diff(full)) > 1e-15])
-    return full[keep]
+    zeta = (w - w1) / (w - conj w1) sends w1 to 0 and the geodesic onto the
+    radius to R e^{i phi}, R = tanh h.  That is sampled at 512 points uniform
+    in h, zeta = tanh(t h) e^{i phi}, and mapped back by
+    w = conj w1 + 2i Im w1 / (1 - zeta), with 1 - zeta in a form that keeps
+    its digits as zeta nears 1.  lambda <= 1/delta <= Q lambda, so the
+    path's quasihyperbolic length is at most Q times the least one in its
+    class."""
+    h = math.asinh(abs(w2 - w1) / (2.0 * math.sqrt(w1.imag * w2.imag)))
+    phi = cmath.phase((w2 - w1) / (w2 - w1.conjugate()))
+    th = h * np.linspace(0.0, 1.0, 512)
+    tanh = np.tanh(th)
+    one_minus_zeta = (2.0 / (np.exp(2.0 * th) + 1.0)
+                      - 2j * tanh * math.sin(phi / 2) * cmath.exp(0.5j * phi))
+    w = w1.conjugate() + 2j * w1.imag / one_minus_zeta
+    with np.errstate(all="ignore"):
+        p = domains.entry(D).psi_inv(w, *D.params)
+    ends = np.array([z1, z2], dtype=complex)
+    if not np.all(np.abs(p[[0, -1]] - ends) < domains.delta_vec(D, ends)):
+        # psi is known up to a real factor only (the log strip far from its
+        # end, Kind.psi), which psi^-1 does not undo: the domain is convex,
+        # and the segment starts
+        p = ends
+    p[0], p[-1] = z1, z2
+    return _resample(p, m)
 
 
 def _resample(p: np.ndarray, m: int) -> np.ndarray:
@@ -433,26 +314,25 @@ def _resample(p: np.ndarray, m: int) -> np.ndarray:
 
 def _precondition(k: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g solved against the tridiagonal weighted Laplacian of the spring
-    constants k (one per segment, so len(k) = len(g) + 1), through LAPACK
-    gtsv with both components as right-hand sides; g itself when the system
-    is singular.  A non-finite system raises ValueError: gtsv would return
-    NaN silently."""
-    from scipy.linalg.lapack import dgtsv
-
-    diag = k[:-1] + k[1:]
-    rhs = np.column_stack([g.real, g.imag])
-    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+    constants k (one per segment, so len(k) = len(g) + 1): the chain of
+    springs with fixed ends, whose Green's function gives, with the
+    compliances s_i and t_i of the springs left and right of node i and
+    S = s_i + t_i,
+        x_i = (t_i sum_{m <= i} s_m g_m + s_i sum_{m > i} t_m g_m) / S.
+    g itself when the system is singular (some k <= 0, or a compliance
+    beyond the float range); ValueError when it is not finite."""
+    if not (np.isfinite(k).all() and np.isfinite(g).all()):
         raise ValueError("relaxation gradient is not finite")
-    if len(g) == 1:
-        if diag[0] == 0:
-            return g
-        x = rhs / diag[0]
-    else:
-        off = -k[1:-1]
-        x, info = dgtsv(off, diag, off, rhs)[3:]
-        if info > 0:
-            return g
-    return x[:, 0] + 1j * x[:, 1]
+    if np.any(k <= 0):
+        return g
+    c = 1.0 / k
+    s, t = np.cumsum(c)[:-1], np.cumsum(c[::-1])[::-1][1:]
+    total = s[-1] + c[-1]
+    if not np.isfinite(total):
+        return g
+    right = np.cumsum((t * g)[::-1])[::-1]
+    right = np.append(right[1:], 0.0)
+    return (t * np.cumsum(s * g) + s * right) / total
 
 
 def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
@@ -460,11 +340,15 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
 
     Gradient by batched finite differences on segment costs, preconditioned
     by the tridiagonal weighted-Laplacian (the Hessian of the dominant
-    length-times-weight part), so a unit step is close to a Newton step.
-    Each path is costed on its own grading (_grade), which the perturbed
-    costs of the gradient reuse.  A trial update is accepted only if it
-    stays interior, its grading resolves and it strictly lowers the
-    functional, so the recorded history is non-increasing by construction.
+    length-times-weight part), so a unit step is close to a Newton step; a
+    node moves by at most _RELAX_STEP times its delta.  Each path is costed
+    on its own grading (_grade), which the perturbed costs of the gradient
+    reuse.  A trial update is accepted only if it stays interior, its
+    grading resolves and it strictly lowers the functional; the line search
+    gives up at a step whose first-order gain is below the stopping
+    threshold.  When the descent stops, the path re-spaced to equal arc
+    length takes over, once, if it costs less.  So the recorded history is
+    non-increasing by construction.
     """
     weight = _weight_fn("quasihyperbolic", D)
 
@@ -481,6 +365,7 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
     h = 1e-7 * max(1.0, float(np.max(np.abs(np.diff(p)))))
     lr = 1.0
     history = [f_cur]
+    respaced = False
     for _ in range(cfg.relax_iterations):
         a, b = p[:-1], p[1:]
         # the segment costs with the left or the right end moved by h along
@@ -490,11 +375,11 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
             np.stack([b, b + h, b, b + 1j * h]), grading)
         gx = (crx[:-1] - c_cur[:-1] + clx[1:] - c_cur[1:]) / h
         gy = (cry[:-1] - c_cur[:-1] + cly[1:] - c_cur[1:]) / h
-        g = gx + 1j * gy
-        if not np.any(np.abs(g) > 0):
+        grad = gx + 1j * gy
+        if not np.any(np.abs(grad) > 0):
             break
         # spring constants: mean weight on each segment over its length
-        g = _precondition(c_cur / np.abs(b - a) ** 2, g)
+        g = _precondition(c_cur / np.abs(b - a) ** 2, grad)
         cap = _RELAX_STEP * domains.delta_vec(D, p[1:-1])
         accepted = False
         while lr > 1e-14:
@@ -503,6 +388,10 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
             over = mag > cap
             if np.any(over):
                 disp[over] *= cap[over] / mag[over]
+            # a step whose first-order gain is below the stopping threshold
+            # would end the descent if it were accepted
+            if -np.vdot(grad, disp).real < cfg.tolerance * f_cur:
+                break
             trial = p.copy()
             trial[1:-1] = p[1:-1] + disp
             if np.all(domains.delta_vec(D, trial[1:-1]) > 1e-12):
@@ -515,11 +404,57 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
                     break
             lr *= 0.5
         history.append(f_cur)
-        if not accepted:
+        if accepted and (history[-2] - history[-1]
+                         >= cfg.tolerance * max(f_cur, 1e-300)):
+            continue
+        # stopped: the first time, the path re-spaced to equal arc length
+        # goes on when it costs less
+        if respaced:
             break
-        if history[-2] - history[-1] < cfg.tolerance * max(f_cur, 1e-300):
+        respaced = True
+        q = _resample(p, len(p))
+        grading_q, resolved, c_q = costs(q)
+        f_q = float(np.sum(c_q))
+        if not (resolved and f_q < f_cur):
             break
+        p, grading, c_cur, f_cur = q, grading_q, c_q, f_q
+        history.append(f_cur)
+        lr = 1.0
     return p, history
+
+
+def _solve(D: Domain, z1: complex, z2: complex, w1: complex, w2: complex,
+           cfg: SolverConfig):
+    """(k, path, history) relaxed from the geodesic start between the lifts
+    w1 and w2."""
+    p, history = _relax(D, _geodesic_start(D, z1, z2, w1, w2,
+                                           cfg.path_nodes), cfg)
+    poly = Polyline(p)
+    return path_quadrature("quasihyperbolic", D, poly), poly, history
+
+
+def _lifts(D: Domain, z1: complex, z2: complex):
+    """psi(z1) and the lifts of z2 in the order of their least possible
+    cost, each with that bound.  A simply connected kind has the one lift,
+    bound 0.  On the punctured disk, the one kind with a period, Re psi =
+    arg z, so a path whose lift ends at psi(z2) + 2 pi n winds through the
+    angle theta = Re psi(z2) + 2 pi n - Re psi(z1), and since delta <= |z|
+    it costs at least hypot(log(|z2|/|z1|), theta); the first lift has
+    theta in [-pi, pi)."""
+    kind = domains.entry(D)
+    w1, w2 = kind.psi(np.array([z1, z2], dtype=complex),
+                      *D.params)[0].tolist()
+    t = kind.period
+    if t is None:
+        yield w1, w2, 0.0
+        return
+    d = _reduce(w2.real - w1.real, t)
+    # by |theta|: d, then alternately the next lift the other way round
+    away = -t if d >= 0 else t
+    for n in itertools.count():
+        shift = away * ((n + 1) // 2) * (1 if n % 2 else -1)
+        yield (w1, complex(w1.real + d + shift, w2.imag),
+               math.hypot(w1.imag - w2.imag, d + shift))
 
 
 def quasihyperbolic_distance_detailed(D: Domain, z1: complex, z2: complex,
@@ -533,23 +468,27 @@ def quasihyperbolic_distance_detailed(D: Domain, z1: complex, z2: complex,
             raise OutsideDomainError(f"{z} is not interior to {D}")
     if z1 == z2:
         return 0.0, None, [0.0]
-    init = _grid_dijkstra(D, z1, z2, cfg)
-    init = _resample(init, cfg.path_nodes)
-    relaxed, history = _relax(D, init, cfg)
-    poly = Polyline(relaxed)
-    value = path_quadrature("quasihyperbolic", D, poly)
-    return value, poly, history
+    best = None
+    for w1, w2, bound in _lifts(D, z1, z2):
+        if best is not None and bound >= best[0]:
+            break
+        solved = _solve(D, z1, z2, w1, w2, cfg)
+        if best is None or solved[0] < best[0]:
+            best = solved
+    return best
 
 
 def quasihyperbolic_distance(D: Domain, z1: complex, z2: complex,
                              cfg: SolverConfig | None = None):
     """Quasihyperbolic distance and the relaxed geodesic polyline.
 
-    Stage 1: Dijkstra on an 8-connected grid restricted to D (edge weight =
-    Euclidean length / delta at the midpoint), searched no farther than the
-    grid line between the endpoints costs.  Stage 2: monotone local
-    relaxation of the node positions.  Returns (distance, Polyline); the
-    geodesic is None for coincident endpoints.
+    The hyperbolic geodesic, psi^-1 of the half-plane geodesic, starts the
+    relaxation: it lies in the geodesic's homotopy class, and its
+    quasihyperbolic length is at most Q_D times the least (lambda <= 1/delta
+    <= Q_D lambda).  On the punctured disk each lift round the puncture is
+    solved whose winding leaves its lower bound below the best value found.
+    Monotone local relaxation of the node positions follows.  Returns
+    (distance, Polyline); the geodesic is None for coincident endpoints.
     """
     value, poly, _ = quasihyperbolic_distance_detailed(D, z1, z2, cfg)
     return value, poly

@@ -108,9 +108,8 @@ class SampleSet:
         base = self._disk_array()
         entry = domains.entry(D)
         if entry.sample_map is not None:
-            f = maps.make_catalog_map(entry.sample_map)
             with np.errstate(all="ignore"):
-                return maps.checked_jet(f, base, Faults(base.shape)).f0
+                return maps.sample_values(entry.sample_map, base)
         if entry.centre is None:
             raise ValueError(f"no sampling strategy for domain kind "
                              f"{D.kind!r}")

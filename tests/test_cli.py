@@ -12,6 +12,7 @@ from conformal_metrics import (
     Polyline,
     path_quadrature,
     punctured_disk,
+    slit_disk,
 )
 from conformal_metrics.cli import main, parse_complex, parse_domain_spec
 
@@ -41,10 +42,28 @@ def test_parse_domain_spec():
     assert parse_domain_spec("pdisk").kind == "punctured_disk"
     assert parse_domain_spec("uhp").kind == "upper_half_plane"
     assert parse_domain_spec("koebe-slit").kind == "koebe_slit_plane"
-    assert parse_domain_spec("slit-disk").kind == "slit_disk"
-    for spec in ("banana", "image:koebe", "image:mobius:0.3,0:disk:256"):
+    assert parse_domain_spec("slit-disk") == slit_disk(0)
+    assert parse_domain_spec("slit-disk:0.5") == slit_disk(0.5)
+    assert parse_domain_spec("slit-disk:-0.25,1") == slit_disk(-0.25 + 1j)
+    for spec in ("banana", "image:koebe", "image:mobius:0.3,0:disk:256",
+                 "disk:0.5", "slit-disk:", "slit-disk:1,2,3",
+                 "slit-disk:inf"):
         with pytest.raises(ValueError):
             parse_domain_spec(spec)
+
+
+def test_ratio_of_log_slit_off_the_origin(capsys):
+    # Log(z - 1/2) on its slit disk: |f'(0.6)| = 10 over delta of the log
+    # strip at log(0.1), its distance to the end
+    code, out, err = run(capsys, "ratio", "--map", "logslit:0.5,1",
+                         "--domain", "slit-disk:0.5,0", "--at", "0.6")
+    assert (code, err) == (0, "")
+    assert float(out) == pytest.approx(10 / math.log(10), abs=1e-9)
+    # the default centre is 0, the base of another map
+    code, out, err = run(capsys, "ratio", "--map", "logslit:0.5,1",
+                         "--domain", "slit-disk", "--at", "0.6")
+    assert (code, out) == (2, "")
+    assert "kind/domain mismatch" in err
 
 
 def test_density_subcommand(capsys):
@@ -87,11 +106,14 @@ def test_distance_hyp_half_plane(capsys):
     assert float(out) == pytest.approx(math.log(2) / 2, abs=1e-9)
 
 
-def test_distance_hyp_non_disk_is_usage_error(capsys):
-    code, _, err = run(capsys, "distance", "--domain", "pdisk",
-                       "--metric", "hyp", "--from", "0.25", "--to", "0.5")
-    assert code == 2
-    assert "error:" in err
+def test_distance_hyp_punctured_disk(capsys):
+    # the lifts of 0.5 and -0.5 differ by pi in Re psi = arg z, either way
+    # round the puncture, and by 0 in Im psi = log 2
+    code, out, err = run(capsys, "distance", "--domain", "pdisk",
+                         "--metric", "hyp", "--from", "0.5", "--to", "-0.5")
+    assert (code, err) == (0, "")
+    assert float(out) == pytest.approx(
+        math.asinh(math.pi / (2 * math.log(2))), abs=1e-9)
 
 
 def test_distance_qhyp_and_geodesic_round_trip(tmp_path, capsys):
@@ -112,13 +134,13 @@ def test_distance_qhyp_and_geodesic_round_trip(tmp_path, capsys):
 
 
 def test_distance_qhyp_round_the_slit_tip(capsys):
-    # the pair straddles the slit 3/4 from its tip: the grid box must hold
-    # the detour round the tip, or the grid disconnects the endpoints
+    # the pair straddles the slit 3/4 from its tip: the start path, the
+    # hyperbolic geodesic, goes round the tip
     code, out, err = run(capsys, "distance", "--domain", "koebe-slit",
                          "--metric", "qhyp", "--from", "-1,0.01",
                          "--to", "-1,-0.01")
     assert (code, err) == (0, "")
-    assert float(out) == pytest.approx(13.16449, abs=1e-5)
+    assert float(out) == pytest.approx(13.16427, abs=1e-5)
 
 
 def test_verify_json_and_determinism(capsys):
@@ -247,7 +269,6 @@ def test_quad_panels_option_is_rejected(capsys):
 
 
 @pytest.mark.parametrize("option, field", [
-    ("--grid-resolution", "grid_resolution"),
     ("--path-nodes", "path_nodes"),
 ])
 def test_solver_grids_below_two_are_usage_errors(capsys, option, field):
@@ -342,25 +363,36 @@ def test_out_file_writing(tmp_path, capsys):
     assert path.read_text() == "1.000000000\n"
 
 
-_SCIPY_ON_FIRST_SOLVE = """
+_NO_SCIPY = """
 import sys
-from conformal_metrics import cli
-assert cli.main(["density", "--domain", "disk", "--at", "0.3,0.2"]) == 0
-assert "scipy" not in sys.modules, "density loaded scipy"
-from conformal_metrics import punctured_disk, quasihyperbolic_distance
+from conformal_metrics import cli, punctured_disk, quasihyperbolic_distance
 k, _ = quasihyperbolic_distance(punctured_disk(), 0.25, 0.5)
-assert "scipy" in sys.modules
 print(k)
+for argv in sys.argv[1:]:
+    assert cli.main(argv.split()) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert "scipy" not in sys.modules
 """
 
+# the benchmark's single-point commands (perfbench cli-point)
+_CLI_POINT = [
+    "density --domain pdisk --at 0.3,0.2",
+    "delta --domain koebe-slit --at -1.2,0.4",
+    "ratio --map koebe --domain disk --at 0.3,-0.4",
+    "distance --domain disk --metric hyp --from 0.1,0.2 --to -0.3,0.5",
+    "verify --kind thm21 --map koebe --domain disk --samples 1000 --seed 7",
+    "sweep --quantity ratio --map koebe --domain disk --from 0.05 --to 0.95 "
+    "--steps 19",
+    "distance --domain pdisk --metric qhyp --from 0.25 --to 0.5",
+]
 
-def test_scipy_is_loaded_only_by_the_solver():
+
+def test_scipy_is_never_loaded():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_SOLVE],
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *_CLI_POINT],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    density, k = proc.stdout.split()
-    assert float(density) > 1
+    k = proc.stdout.split()[0]
     assert float(k) == pytest.approx(math.log(2), rel=1e-6)

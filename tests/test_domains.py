@@ -73,9 +73,17 @@ def test_density_conformal_invariance_cayley(z):
 
 @given(disk_points())
 def test_density_conformal_invariance_koebe(z):
+    # at z, the point of the disk whose image is the rounded k(z): next to
+    # the tip -1/4, where k' vanishes, rounding k(z) moves it by more than
+    # 1e-9 of its distance to the tip (z = -0.999 + 5.7e-16i), and the
+    # density there with it; the inverse, z = (s - 1)/(s + 1) with
+    # s = sqrt(4w + 1), moves z by a few ulp
     f = koebe_map()
+    w = f.jet(z).f0
+    s = cmath.sqrt(4 * w + 1)
+    z = (s - 1) / (s + 1)
     j = f.jet(z)
-    lhs = hyperbolic_density(koebe_slit_plane(), j.f0) * abs(j.f1)
+    lhs = hyperbolic_density(koebe_slit_plane(), w) * abs(j.f1)
     assert lhs == pytest.approx(hyperbolic_density(unit_disk(), z), rel=1e-9)
 
 
@@ -160,14 +168,16 @@ _EDGES = {
         [_TINY * 1j, complex(-1e300, 1), complex(-0.0, 1),
          complex(1e300, _TINY)],
         [0j, complex(1, -0.0), complex(5, -_TINY), -1j, complex(0, -_INF),
-         complex(_INF, 0)]),
+         complex(_INF, 0), complex(0, _INF), complex(_INF, 1),
+         complex(-_INF, _INF)]),
     "koebe_slit_plane": (
         [0j, complex(-0.0, -0.0), complex(-0.25, _TINY),
          complex(-0.25, -_TINY), complex(-0.25 + 2 ** -54, 0),
          complex(-5, _TINY),
          complex(-1e300, 1e-300), 1e300],
         [-0.25, complex(-0.25, -0.0), -1, complex(-5, -0.0), -1e300,
-         complex(-_INF, 0)]),
+         complex(-_INF, 0), complex(_INF, 0), complex(0, _INF),
+         complex(_INF, -_INF), complex(-_INF, 1)]),
     "slit_disk": (
         [0.5, _TINY, complex(0, _TINY), complex(-0.5, _TINY),
          complex(-0.5, -_TINY), complex(-0.0, 0.5), _BELOW_ONE,
@@ -178,7 +188,8 @@ _EDGES = {
         [-_TINY, complex(-1, _BELOW_PI), complex(-1, -_BELOW_PI),
          complex(-1e300, 0), complex(-_TINY, 3)],
         [0j, complex(-0.0, 0), complex(-1, math.pi), complex(-1, -math.pi),
-         1, complex(0, 1), complex(-_INF, 0), complex(-1, _INF)]),
+         1, complex(0, 1), complex(-_INF, 0), complex(-1, _INF),
+         complex(-_INF, 1)]),
 }
 _EDGE_DOMAINS = [unit_disk(), punctured_disk(), upper_half_plane(),
                  koebe_slit_plane(), slit_disk(0), log_strip(1)]
@@ -204,6 +215,59 @@ def test_nan_is_outside(D):
         assert not contains(D, z), z
     with pytest.raises(OutsideDomainError):
         boundary_distance(D, complex(_NAN, 0.5))
+
+
+@pytest.mark.parametrize("D", _EDGE_DOMAINS, ids=lambda D: D.kind)
+def test_infinity_is_outside(D):
+    for z in (complex(_INF, 0), complex(0, _INF), complex(-_INF, 0.5),
+              complex(-1, -_INF), complex(_INF, _INF)):
+        assert not contains(D, z), z
+        for fn in (boundary_distance, hyperbolic_density):
+            with pytest.raises(OutsideDomainError):
+                fn(D, z)
+
+
+_E = 1e-9
+_RING = [cmath.exp(1j * t) for t in np.linspace(-3, 3, 7)]
+# kind -> interior points, then points within 1e-9 of each boundary piece
+_PSI_POINTS = {
+    "unit_disk": [0.3 + 0.2j, -0.5j, 0j] + [(1 - _E) * u for u in _RING],
+    "punctured_disk": [0.3 + 0.2j, -0.5, complex(-0.5, 1e-300)]
+    + [(1 - _E) * u for u in _RING] + [_E * u for u in _RING],
+    "upper_half_plane": [1j, -3 + 0.5j, 1e8 + 1j]
+    + [complex(x, _E) for x in (-1e3, 0, 5)],
+    "koebe_slit_plane": [1 + 1j, -3 + 2j, 10, complex(-1e6, 1e-3),
+                         complex(-5, _E), complex(-5, -_E)]
+    + [-0.25 + _E * u for u in _RING],
+    "slit_disk": [0.5, 0.2j, -0.5 + 0.3j, complex(-0.5, _E),
+                  complex(-0.5, -_E)]
+    + [(1 - _E) * u for u in _RING] + [_E * u for u in _RING],
+    "log_strip": [-1, -3 + 2j, -50, -_E + 1j, -_E - 2j,
+                  complex(-1, math.pi - _E), complex(-1, _E - math.pi)],
+}
+
+
+@pytest.mark.parametrize("D", [unit_disk(), punctured_disk(),
+                               upper_half_plane(), koebe_slit_plane(),
+                               slit_disk(0.3 - 0.2j), log_strip(2 - 1j)],
+                         ids=lambda D: D.kind)
+def test_psi_inv_inverts_psi(D):
+    # to rounding, at interior points and next to every piece of the
+    # boundary; the slit disk's and the log strip's points are shifted and
+    # scaled by their parameter
+    kind = domains.entry(D)
+    z = np.array(_PSI_POINTS[D.kind], dtype=complex)
+    if D.kind == "slit_disk":
+        z = z + D.params[0]
+    if D.kind == "log_strip":
+        z = z * D.params[0]
+    assert domains.contains_vec(D, z).all()
+    w = kind.psi(z, *D.params)[0]
+    assert np.all(w.imag > 0)
+    back = kind.psi_inv(w, *D.params)
+    assert np.all(np.abs(back - z) <= 64 * 2.0 ** -52 * np.maximum(
+        1.0, np.abs(z)))
+    assert domains.contains_vec(D, back).all()
 
 
 def test_pushforward_density_error_types():

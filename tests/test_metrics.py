@@ -28,6 +28,8 @@ from conformal_metrics import (
 )
 from conformal_metrics import QuadratureError, domains, metrics
 
+import grid_reference as grid
+
 
 def test_polyline_validation():
     with pytest.raises(ValueError):
@@ -46,9 +48,49 @@ def test_hyperbolic_distance_disk_closed_form():
         hyperbolic_distance(unit_disk(), 0, 1.5)
 
 
-def test_hyperbolic_distance_needs_simply_connected_domain():
-    with pytest.raises(ValueError, match="simply connected"):
-        hyperbolic_distance(punctured_disk(), 0.25, 0.5)
+def test_hyperbolic_distance_on_the_punctured_disk_has_its_density():
+    # h is lambda |dz| over a short step, lambda at its midpoint, in every
+    # direction and across psi's branch cut, the negative axis
+    D, dz = punctured_disk(), 1e-7
+    rng = random.Random(11)
+    starts = [(-0.5, 1j), (complex(-0.3, 5e-8), -1j), (0.2j, 1), (0.01, 1j)]
+    for _ in range(50):
+        starts.append((cmath.rect(rng.uniform(0.01, 0.99),
+                                  rng.uniform(-math.pi, math.pi)),
+                       cmath.exp(1j * rng.uniform(-math.pi, math.pi))))
+    for z, direction in starts:
+        step = dz * direction
+        h = hyperbolic_distance(D, z, z + step)
+        lam = domains.hyperbolic_density(D, z + step / 2)
+        assert h / dz == pytest.approx(lam, rel=1e-6), z
+
+
+# the benchmark's punctured-disk pairs
+_PDISK_PAIRS = [(0.25, 0.5), (0.3, -0.2), (0.1j, 0.4),
+                (cmath.rect(0.05, 1.0), cmath.rect(0.45, 2.5)),
+                (cmath.rect(0.02, 0.3), cmath.rect(0.5, 0.3)),
+                (0.7, -0.7), (0.2 + 0.7j, -0.1 - 0.8j)]
+
+
+@pytest.mark.parametrize("z1, z2", _PDISK_PAIRS)
+def test_hyperbolic_distance_on_the_punctured_disk_is_below_k(z1, z2):
+    # lambda <= 1/delta, integrated
+    D = punctured_disk()
+    k, _ = quasihyperbolic_distance(D, z1, z2)
+    assert hyperbolic_distance(D, z1, z2) <= k
+
+
+def test_hyperbolic_distance_on_the_punctured_disk_is_a_metric():
+    D = punctured_disk()
+    rng = random.Random(12)
+    for _ in range(200):
+        a, b, c = (cmath.rect(rng.uniform(0.001, 0.999),
+                              rng.uniform(-math.pi, math.pi))
+                   for _ in range(3))
+        ab, bc, ac = (hyperbolic_distance(D, *p) for p in ((a, b), (b, c),
+                                                            (a, c)))
+        assert ab == hyperbolic_distance(D, b, a)
+        assert ac <= (ab + bc) * (1 + 1e-12)
 
 
 def test_hyperbolic_distance_beyond_float_range_raises():
@@ -218,12 +260,9 @@ def test_solver_rejects_outside_endpoint():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(grid_resolution=0)
-    for field in ("grid_resolution", "path_nodes"):
-        with pytest.raises(ValueError, match=f"{field} must be at least 2"):
-            SolverConfig(**{field: 1})
-        assert getattr(SolverConfig(**{field: 2}), field) == 2
+    with pytest.raises(ValueError, match="path_nodes must be at least 2"):
+        SolverConfig(path_nodes=1)
+    assert SolverConfig(path_nodes=2).path_nodes == 2
     with pytest.raises(ValueError, match="solver parameters must be positive"):
         SolverConfig(relax_iterations=0)
     for tolerance in (0.0, 1.0, 2.0):
@@ -235,7 +274,7 @@ def test_geodesic_value_not_above_grid_value():
     cfg = SolverConfig(relax_iterations=1)
     v1, _, h1 = quasihyperbolic_distance_detailed(unit_disk(), 0.9, 0.9j, cfg)
     v2, _, h2 = quasihyperbolic_distance_detailed(unit_disk(), 0.9, 0.9j)
-    assert v2 <= h2[0] + 1e-12    # relaxed below the initial grid path
+    assert v2 <= h2[0] + 1e-12    # relaxed below the initial path
     assert v2 <= v1 + 1e-9        # more iterations never hurt
 
 
@@ -275,10 +314,11 @@ def test_resample_matches_the_loop(m):
 
 
 # ---------------------------------------------------------------------------
-# solver exactness: the grading, the stacked quadrature, the graph and its
-# cache, and the banded solve reproduce the straightforward construction
+# solver exactness: the start path, the grading, the stacked quadrature, the
+# test reference's grid graph and its cache, and the banded solve reproduce
+# the straightforward construction
 
-_GRID_CASES = [
+_CASES = [
     (unit_disk(), 0.5 + 0.5j, -0.3 + 0.6j),
     (punctured_disk(), 0.7, -0.7),
     (slit_disk(0.25 + 0.125j), -0.25 + 0.225j, -0.25 + 0.025j),
@@ -286,12 +326,28 @@ _GRID_CASES = [
     (koebe_slit_plane(), -2 + 0.5j, -2 - 0.5j),
     (log_strip(1), -1 + 2j, -1 - 2j),
 ]
-_GRID_IDS = [D.kind for D, _, _ in _GRID_CASES]
+_IDS = [D.kind for D, _, _ in _CASES]
 
 
 def _initial_path(D, z1, z2, m=128):
-    return metrics._resample(
-        metrics._grid_dijkstra(D, z1, z2, SolverConfig()), m)
+    w1, w2, _ = next(metrics._lifts(D, z1, z2))
+    return metrics._geodesic_start(D, z1, z2, w1, w2, m)
+
+
+@pytest.mark.parametrize("D, z1, z2", _CASES + [
+    (upper_half_plane(), 0.001j, 200 + 0.001j),
+    (unit_disk(), cmath.rect(1 - 1e-6, 0.3), cmath.rect(1 - 1e-6, 3.4)),
+    (koebe_slit_plane(), -1 + 0.01j, -1 - 0.01j),
+    (log_strip(1), -1500 + 0j, -1501 + 0j)],
+    ids=_IDS + ["uhp-rho", "disk-diameter", "koebe-tip", "log-strip-far"])
+def test_start_path_is_the_hyperbolic_geodesic(D, z1, z2):
+    # 128 points from z1 to z2 whose hyperbolic length is h; far from the
+    # log strip's end psi is scaled, and the segment, there the geodesic,
+    # starts
+    p = _initial_path(D, z1, z2)
+    assert (p[0], p[-1]) == (z1, z2) and len(p) == 128
+    length = path_quadrature("hyperbolic", D, Polyline(p), tol=1e-8)
+    assert length == pytest.approx(hyperbolic_distance(D, z1, z2), rel=1e-3)
 
 
 def _pieces(grading):
@@ -302,8 +358,8 @@ def _pieces(grading):
     return seg[::k], t[::k] - width * metrics._GL_NODES[0], width
 
 
-@pytest.mark.parametrize("D, z1, z2", _GRID_CASES + [
-    (upper_half_plane(), 0.001j, 10 + 0.001j)], ids=_GRID_IDS + ["uhp-rho"])
+@pytest.mark.parametrize("D, z1, z2", _CASES + [
+    (upper_half_plane(), 0.001j, 10 + 0.001j)], ids=_IDS + ["uhp-rho"])
 def test_grade_bounds_every_piece(D, z1, z2):
     p = _initial_path(D, z1, z2)
     for c in (metrics._PIECE_C, metrics._PIECE_C / 4):
@@ -453,15 +509,15 @@ def test_gradient_perturbations_use_the_base_grading(monkeypatch):
         c[0] == "costs" and c[1].ndim == 1 for c in calls)
 
 
-@pytest.mark.parametrize("D, z1, z2", _GRID_CASES, ids=_GRID_IDS)
+@pytest.mark.parametrize("D, z1, z2", _CASES, ids=_IDS)
 def test_grid_graph_gives_the_undirected_dijkstra(D, z1, z2):
     # each row holds its upper-triangular entries, then its lower ones:
     # the scan of an undirected dijkstra on the upper-triangular graph
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    box = metrics._grid_box(D, z1, z2)
-    graph, _, valid = metrics._grid_graph(D, box, 60)
+    box = grid.grid_box(D, z1, z2)
+    graph, _, valid = grid.grid_graph(D, box, 60)
     rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
     upper = np.isfinite(graph.data) & (graph.indices > rows)
     half = coo_matrix((graph.data[upper], (rows[upper], graph.indices[upper])),
@@ -478,8 +534,8 @@ def test_grid_graph_gives_the_undirected_dijkstra(D, z1, z2):
 
 def test_grid_graphs_share_their_column_arrays():
     D = upper_half_plane()
-    one = metrics._grid_graph(D, (-1.0, 1.0, 0.5, 2.0), 50)[0]
-    two = metrics._grid_graph(D, (0.0, 3.0, 1.0, 4.0), 50)[0]
+    one = grid.grid_graph(D, (-1.0, 1.0, 0.5, 2.0), 50)[0]
+    two = grid.grid_graph(D, (0.0, 3.0, 1.0, 4.0), 50)[0]
     for name in ("indices", "indptr"):
         a, b = getattr(one, name), getattr(two, name)
         assert not a.flags.writeable and not b.flags.writeable
@@ -492,13 +548,12 @@ def test_grid_graphs_share_their_column_arrays():
 _ACROSS_A_SLIT = ("slit_disk", "koebe_slit_plane")
 
 
-@pytest.mark.parametrize("D, z1, z2", _GRID_CASES + [
-    (punctured_disk(), 0.1j, 0.4)], ids=_GRID_IDS + ["pdisk-spiral"])
+@pytest.mark.parametrize("D, z1, z2", _CASES + [
+    (punctured_disk(), 0.1j, 0.4)], ids=_IDS + ["pdisk-spiral"])
 def test_bounded_dijkstra_is_the_full_search(D, z1, z2, monkeypatch):
     from scipy.sparse import csgraph
 
-    cfg = SolverConfig()
-    bounded = metrics._grid_dijkstra(D, z1, z2, cfg)
+    bounded = grid.grid_dijkstra(D, z1, z2)
     limits = []
     full_search = csgraph.dijkstra
 
@@ -507,26 +562,26 @@ def test_bounded_dijkstra_is_the_full_search(D, z1, z2, monkeypatch):
         return full_search(*args, **kwargs)
 
     monkeypatch.setattr(csgraph, "dijkstra", unlimited)
-    assert metrics._grid_dijkstra(D, z1, z2, cfg).tobytes() == (
+    assert grid.grid_dijkstra(D, z1, z2).tobytes() == (
         bounded.tobytes())
     assert np.isfinite(limits) == [D.kind not in _ACROSS_A_SLIT]
 
 
-@pytest.mark.parametrize("D, z1, z2", _GRID_CASES + [
-    (punctured_disk(), 0.1j, 0.4)], ids=_GRID_IDS + ["pdisk-spiral"])
+@pytest.mark.parametrize("D, z1, z2", _CASES + [
+    (punctured_disk(), 0.1j, 0.4)], ids=_IDS + ["pdisk-spiral"])
 def test_grid_line_bounds_the_graph_distance(D, z1, z2):
     from scipy.sparse.csgraph import dijkstra
 
     n = 60
-    box = metrics._grid_box(D, z1, z2)
-    graph, flat, valid = metrics._grid_graph(D, box, n)
+    box = grid.grid_box(D, z1, z2)
+    graph, flat, valid = grid.grid_graph(D, box, n)
     s, t = (int(np.argmin(np.where(valid, np.abs(flat - z), np.inf)))
             for z in (z1, z2))
-    line = metrics._line_cost(graph, n, s, t)
+    line = grid.line_cost(graph, n, s, t)
     assert np.isfinite(line) == (D.kind not in _ACROSS_A_SLIT)
     dist = dijkstra(graph, directed=True, indices=s)
     assert dist[t] <= line
-    assert metrics._line_cost(graph, n, s, s) == 0.0
+    assert grid.line_cost(graph, n, s, s) == 0.0
 
 
 def _padded_box(D, z1, z2):
@@ -544,7 +599,7 @@ def _padded_box(D, z1, z2):
     (koebe_slit_plane(), 1 + 0j, 3 + 2j),
 ], ids=["uhp", "uhp-rho", "log-strip", "koebe-above-tip", "koebe-right"])
 def test_grid_box_of_a_segment_inside_is_the_padded_box(D, z1, z2):
-    assert metrics._grid_box(D, z1, z2) == _padded_box(D, z1, z2)
+    assert grid.grid_box(D, z1, z2) == _padded_box(D, z1, z2)
 
 
 @pytest.mark.parametrize("D, box", [
@@ -556,7 +611,7 @@ def test_grid_box_of_a_bounded_domain_is_the_square_about_its_centre(D, box):
     # the same floats for every pair, so consecutive solves share the graph
     c = domains.entry(D).centre(*D.params)
     for z1, z2 in ((c + 0.5, c - 0.5j), (c + 0.1 + 0.2j, c - 0.3 + 0.4j)):
-        got = metrics._grid_box(D, z1, z2)
+        got = grid.grid_box(D, z1, z2)
         assert [x.hex() for x in got] == [x.hex() for x in box]
 
 
@@ -565,13 +620,48 @@ def test_grid_box_of_a_bounded_domain_is_the_square_about_its_centre(D, box):
                                     (-1 + 0.3j, -1.5 - 0.3j)])
 def test_grid_box_holds_the_slit_tip_detour(z1, z2):
     D = koebe_slit_plane()
-    box = np.array(metrics._grid_box(D, z1, z2))
+    box = np.array(grid.grid_box(D, z1, z2))
     r = max(abs(z1 + 0.25), abs(z2 + 0.25))
     disc = np.array([-0.25 - r, -0.25 + r, -r, r])
     padded = np.array(_padded_box(D, z1, z2))
     # the least box holding both the padded box and the tip's disc
     assert np.array_equal(box[::2], np.minimum(disc, padded)[::2])
     assert np.array_equal(box[1::2], np.maximum(disc, padded)[1::2])
+
+
+def _recording_solves(monkeypatch):
+    solves, solve = [], metrics._solve
+
+    def recording(*args):
+        solves.append(solve(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(metrics, "_solve", recording)
+    return solves
+
+
+def test_punctured_disk_keeps_the_lesser_lift(monkeypatch):
+    # 0.7 -> -0.7 winds through pi either way round the puncture: the two
+    # lifts tie, and the relaxation ends lower on the second; the third
+    # winds through 3 pi > k
+    solves = _recording_solves(monkeypatch)
+    k, geodesic, history = quasihyperbolic_distance_detailed(
+        punctured_disk(), 0.7, -0.7)
+    assert len(solves) == 2
+    assert solves[1][0] < solves[0][0]
+    assert (k, geodesic, history) == solves[1]
+    # the two lifts go round the puncture on opposite sides
+    assert np.sign([s[1].as_array()[64].imag for s in solves]).tolist() in (
+        [1, -1], [-1, 1])
+
+
+def test_punctured_disk_bound_skips_the_next_lift(monkeypatch):
+    # the next lift winds through 3 pi / 2: it costs at least
+    # hypot(log 4, 3 pi / 2) = 4.91, above k = 2.095
+    solves = _recording_solves(monkeypatch)
+    k, _ = quasihyperbolic_distance(punctured_disk(), 0.1j, 0.4)
+    assert len(solves) == 1
+    assert k < math.hypot(math.log(4), 1.5 * math.pi)
 
 
 def test_solver_round_the_slit_tip_keeps_the_koebe_quarter_window():
@@ -586,8 +676,8 @@ def test_solver_round_the_slit_tip_keeps_the_koebe_quarter_window():
 
 
 def test_solver_round_the_slit_tip_is_scale_invariant():
-    # the golden koebe pair dilated about the tip: the grid box, and so the
-    # grid, dilates with it
+    # the golden koebe pair dilated about the tip: psi of the slit plane,
+    # and so the start path, dilates with it
     ks = []
     for e in range(-2, 3):
         a, b = (-0.25 + 2.0 ** e * (z + 0.25) for z in (-2 + 0.5j, -2 - 0.5j))
@@ -598,54 +688,63 @@ def test_solver_round_the_slit_tip_is_scale_invariant():
     assert max(ks) == pytest.approx(min(ks), rel=1e-6, abs=0)
 
 
-@pytest.mark.parametrize("D, z1, z2", _GRID_CASES[:2],
-                         ids=_GRID_IDS[:2])
+@pytest.mark.parametrize("D, z1, z2", _CASES[:2],
+                         ids=_IDS[:2])
 def test_warm_graph_cache_gives_the_cold_solve(D, z1, z2):
-    cache = metrics._grid_graph
+    cache = grid.grid_graph
     cache.cache_clear()
-    cold = quasihyperbolic_distance_detailed(D, z1, z2)
+    cold = grid.grid_solve(D, z1, z2)
     hits = cache.cache_info().hits
-    quasihyperbolic_distance_detailed(D, -0.1 + 0.2j, 0.3 - 0.4j)
-    warm = quasihyperbolic_distance_detailed(D, z1, z2)
+    grid.grid_solve(D, -0.1 + 0.2j, 0.3 - 0.4j)
+    warm = grid.grid_solve(D, z1, z2)
     assert cache.cache_info().hits == hits + 2
     assert warm[0] == cold[0]
     assert warm[1].points == cold[1].points
     assert warm[2] == cold[2]
     # another resolution takes the one entry over
-    quasihyperbolic_distance_detailed(D, z1, z2, SolverConfig(grid_resolution=50))
+    grid.grid_solve(D, z1, z2, n=50)
     assert cache.cache_info().currsize == 1
 
 
 def test_repeated_unbounded_solve_hits_the_graph_cache():
     # an unbounded domain's box follows the pair: the same pair again finds
     # its graph, another pair takes the one entry over
-    D, z1, z2 = _GRID_CASES[3]
-    cache = metrics._grid_graph
+    D, z1, z2 = _CASES[3]
+    cache = grid.grid_graph
     cache.cache_clear()
-    cold = quasihyperbolic_distance_detailed(D, z1, z2)
-    warm = quasihyperbolic_distance_detailed(D, z1, z2)
+    cold = grid.grid_solve(D, z1, z2)
+    warm = grid.grid_solve(D, z1, z2)
     assert cache.cache_info().hits == 1
     assert warm[0] == cold[0]
     assert warm[1].points == cold[1].points
     assert warm[2] == cold[2]
-    quasihyperbolic_distance_detailed(D, z1, 2 * z2)
+    grid.grid_solve(D, z1, 2 * z2)
     assert cache.cache_info()[:2] == (1, 2)
     assert cache.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 126])
 def test_precondition_is_the_banded_solve(n):
+    # the Green's function agrees with LAPACK's banded solve to the accuracy
+    # the chain's condition number allows, with spring constants over one
+    # decade and over nine
     from scipy.linalg import solve_banded
 
     rng = np.random.default_rng(n)
-    k = rng.random(n + 1) + 0.1
-    g = rng.normal(size=n) + 1j * rng.normal(size=n)
-    band = np.zeros((3, n))
-    band[1] = k[:-1] + k[1:]
-    band[0, 1:] = band[2, :-1] = -k[1:-1]
-    want = solve_banded((1, 1), band, np.column_stack([g.real, g.imag]))
-    got = metrics._precondition(k, g)
-    assert got.tobytes() == (want[:, 0] + 1j * want[:, 1]).tobytes()
+    for decades in [1] * 20 + [9] * 20:
+        k = 10.0 ** rng.uniform(-decades, 0, n + 1)
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        band = np.zeros((3, n))
+        band[1] = k[:-1] + k[1:]
+        band[0, 1:] = band[2, :-1] = -k[1:-1]
+        want = solve_banded((1, 1), band, np.column_stack([g.real, g.imag]))
+        want = want[:, 0] + 1j * want[:, 1]
+        dense = np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(
+            band[2, :-1], -1)
+        cond = np.linalg.cond(dense)
+        got = metrics._precondition(k, g)
+        assert np.linalg.norm(got - want) <= (
+            8 * n * cond * np.finfo(float).eps * np.linalg.norm(want))
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -671,7 +770,7 @@ def test_three_node_path_relaxes_through_the_one_node_solve():
     assert abs(got[1]) < 0.3      # pulled towards the diameter
 
 
-# closed forms far from the grid's scale: delta ratio rho along a horizontal
+# closed forms far from the unit scale: delta ratio rho along a horizontal
 # pair in the half-plane, and disk diameters near the circle
 @pytest.mark.parametrize("rho, rel", [(5e3, 2.5e-5), (1e5, 2.1e-5),
                                       (1e6, 2.1e-5)])
@@ -697,18 +796,18 @@ def test_solver_disk_diameters_near_the_circle(eps):
     assert k == pytest.approx(2 * math.log(1 / eps), rel=1.2e-6)
 
 
-# k and the length of the objective history, re-pinned for the graded
-# quadrature; any change to the solver's numerics shows here
+# k and the length of the objective history, re-pinned for the start from
+# the hyperbolic geodesic; any change to the solver's numerics shows here
 _GOLDEN = [
-    ("disk", unit_disk(), 0.5 + 0.5j, -0.3 + 0.6j, 1.8740684193387833, 5),
-    ("pdisk", punctured_disk(), 0.7, -0.7, 3.8679853639567146, 14),
-    ("uhp", upper_half_plane(), 0.5 + 1j, 3 + 0.2j, 3.5952369910057946, 6),
+    ("disk", unit_disk(), 0.5 + 0.5j, -0.3 + 0.6j, 1.8740684716414582, 6),
+    ("pdisk", punctured_disk(), 0.7, -0.7, 3.867990485897127, 37),
+    ("uhp", upper_half_plane(), 0.5 + 1j, 3 + 0.2j, 3.5952348408588706, 4),
     ("uhp rho=1e2", upper_half_plane(), 0.001j, 0.2 + 0.001j,
-     10.596976522710953, 7),
-    ("koebe", koebe_slit_plane(), -2 + 0.5j, -2 - 0.5j, 7.073654953716751, 10),
+     10.59695124599557, 4),
+    ("koebe", koebe_slit_plane(), -2 + 0.5j, -2 - 0.5j, 7.073633382295062, 4),
     ("slit-disk", slit_disk(0.25 + 0.125j), 0.25 + 0.125j + (-0.5 + 0.1j),
-     0.25 + 0.125j + (-0.5 - 0.1j), 7.767838265314883, 12),
-    ("log-strip", log_strip(1), -1 + 2j, -1 - 2j, 2.8875707861390296, 9),
+     0.25 + 0.125j + (-0.5 - 0.1j), 7.767753938428007, 23),
+    ("log-strip", log_strip(1), -1 + 2j, -1 - 2j, 2.8876208957935803, 13),
 ]
 
 
@@ -724,3 +823,14 @@ def test_solver_golden_values(name, D, z1, z2, k, iterations):
     again = np.sum(metrics._segment_costs(
         metrics._weight_fn("quasihyperbolic", D), p[:-1], p[1:], grading))
     assert value == pytest.approx(again, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("name, D, z1, z2, k, iterations", _GOLDEN,
+                         ids=[g[0] for g in _GOLDEN])
+def test_grid_start_relaxes_to_the_golden_values(name, D, z1, z2, k,
+                                                 iterations):
+    # the opt-in start, a grid Dijkstra path, ends on the same geodesic to
+    # the relaxation's accuracy, with a non-increasing history
+    value, _, history = grid.grid_solve(D, z1, z2)
+    assert value == pytest.approx(k, rel=3e-5, abs=0)
+    assert all(a >= b for a, b in zip(history, history[1:]))

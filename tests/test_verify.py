@@ -45,7 +45,8 @@ from conformal_metrics import (
     unit_disk,
     upper_half_plane,
 )
-from conformal_metrics.errors import at_point
+from conformal_metrics import domains, maps, make_catalog_map
+from conformal_metrics.errors import Faults, at_point
 from conformal_metrics.verify import quantity
 from helpers import lambda_lower_violation_witness, random_map_pair
 
@@ -76,6 +77,20 @@ def test_samples_pushed_into_each_domain():
     for D in (upper_half_plane(), koebe_slit_plane(), slit_disk(0)):
         for z in S.points(D):
             assert contains(D, z)
+
+
+@pytest.mark.parametrize("D", [upper_half_plane(), koebe_slit_plane()],
+                         ids=lambda D: D.kind)
+@pytest.mark.parametrize("strategy", ["uniform_disk", "radial_line",
+                                      "near_boundary", "near_puncture"])
+def test_sample_values_are_the_jets_values(D, strategy):
+    # the sample map's values alone, bit for bit the f0 of its jets
+    samples = SampleSet(seed=5, count=2000, strategy=strategy, eps=1e-12)
+    base = np.array(samples.disk_points())
+    f = make_catalog_map(domains.entry(D).sample_map)
+    with np.errstate(all="ignore"):
+        want = maps.checked_jet(f, base, Faults(base.shape)).f0
+    assert samples.points(D).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
