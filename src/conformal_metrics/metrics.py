@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,8 +43,9 @@ _KINK_C = 1e-4
 _FANOUT = 4
 _MIN_WIDTH = 2.0 ** -60
 # The relaxation moves a node by at most _RELAX_STEP times its delta per
-# iteration.
+# iteration; its quasi-Newton update keeps the last _MEMORY pairs.
 _RELAX_STEP = 0.25
+_MEMORY = 5
 
 
 @dataclass(frozen=True)
@@ -335,20 +335,58 @@ def _precondition(k: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (t * np.cumsum(s * g) + s * right) / total
 
 
-def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
-    """Monotone local descent on the quadrature functional.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The real inner product of node displacements held as complex
+    numbers."""
+    return float(np.vdot(a, b).real)
 
-    Gradient by batched finite differences on segment costs, preconditioned
-    by the tridiagonal weighted-Laplacian (the Hessian of the dominant
-    length-times-weight part), so a unit step is close to a Newton step; a
-    node moves by at most _RELAX_STEP times its delta.  Each path is costed
-    on its own grading (_grade), which the perturbed costs of the gradient
-    reuse.  A trial update is accepted only if it stays interior, its
-    grading resolves and it strictly lowers the functional; the line search
-    gives up at a step whose first-order gain is below the stopping
-    threshold.  When the descent stops, the path re-spaced to equal arc
-    length takes over, once, if it costs less.  So the recorded history is
-    non-increasing by construction.
+
+def _remember(memory: list, s: np.ndarray, y: np.ndarray) -> list:
+    """memory with the pair (s, y, 1 / s.y) appended and only its last
+    _MEMORY pairs kept; memory itself when s.y <= 0, for which the update
+    would not stay positive definite."""
+    sy = _dot(s, y)
+    if not sy > 0:
+        return memory
+    return (memory + [(s, y, 1.0 / sy)])[-_MEMORY:]
+
+
+def _lbfgs_direction(k: np.ndarray, grad: np.ndarray, memory) -> np.ndarray:
+    """The L-BFGS two-loop recursion (Nocedal 1980): the stored pairs
+    (s, y, 1 / s.y), oldest first, update the inverse Hessian whose initial
+    value is the spring chain's Green's function (_precondition).  With an
+    empty memory that is _precondition(k, grad) itself; so is the result
+    when the update's direction does not descend."""
+    q = grad
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alphas.append(rho * _dot(s, q))
+        q = q - alphas[-1] * y
+    r = _precondition(k, q)
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        r = r + (alpha - rho * _dot(y, r)) * s
+    if memory and not _dot(grad, r) > 0:
+        return _precondition(k, grad)
+    return r
+
+
+def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
+    """Monotone L-BFGS descent on the quadrature functional.
+
+    Gradient by batched finite differences on segment costs.  The direction
+    is the limited-memory quasi-Newton one (_lbfgs_direction) over the last
+    _MEMORY pairs of node and gradient changes between accepted paths, whose
+    initial inverse Hessian is the tridiagonal weighted Laplacian's (the
+    Hessian of the dominant length-times-weight part); a pair enters only
+    when s.y > 0.  The step is scaled as a whole so that no node moves by
+    more than _RELAX_STEP times its delta.  Each path is costed on its own
+    grading (_grade), which the perturbed costs of the gradient reuse.  A
+    trial update is accepted only if it stays interior, its grading
+    resolves and it strictly lowers the functional; the line search gives
+    up at a step whose first-order gain is below the stopping threshold.
+    When the descent stops, the path re-spaced to equal arc length takes
+    over, once, if it costs less, with an empty memory.  So the recorded
+    history is non-increasing by construction.
     """
     weight = _weight_fn("quasihyperbolic", D)
 
@@ -366,6 +404,8 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
     lr = 1.0
     history = [f_cur]
     respaced = False
+    # the pairs of _remember, and the nodes and gradient before a step
+    memory, last = [], None
     for _ in range(cfg.relax_iterations):
         a, b = p[:-1], p[1:]
         # the segment costs with the left or the right end moved by h along
@@ -378,19 +418,21 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
         grad = gx + 1j * gy
         if not np.any(np.abs(grad) > 0):
             break
+        if last is not None:
+            memory = _remember(memory, p[1:-1] - last[0], grad - last[1])
+            last = None
         # spring constants: mean weight on each segment over its length
-        g = _precondition(c_cur / np.abs(b - a) ** 2, grad)
-        cap = _RELAX_STEP * domains.delta_vec(D, p[1:-1])
-        accepted = False
+        g = _lbfgs_direction(c_cur / np.abs(b - a) ** 2, grad, memory)
+        # the step is g times min(lr, reach): at reach the node nearest its
+        # cap meets it
+        cap, mag = _RELAX_STEP * domains.delta_vec(D, p[1:-1]), np.abs(g)
+        reach = min(1.0, float(np.min(np.divide(
+            cap, mag, out=np.full(len(g), np.inf), where=mag > 0))))
         while lr > 1e-14:
-            disp = -g * lr
-            mag = np.abs(disp)
-            over = mag > cap
-            if np.any(over):
-                disp[over] *= cap[over] / mag[over]
+            disp = -g * min(lr, reach)
             # a step whose first-order gain is below the stopping threshold
             # would end the descent if it were accepted
-            if -np.vdot(grad, disp).real < cfg.tolerance * f_cur:
+            if -_dot(grad, disp) < cfg.tolerance * f_cur:
                 break
             trial = p.copy()
             trial[1:-1] = p[1:-1] + disp
@@ -398,14 +440,16 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
                 grading_new, resolved, c_new = costs(trial)
                 f_new = float(np.sum(c_new))
                 if resolved and f_new < f_cur:
+                    last = p[1:-1], grad
                     p, grading, c_cur, f_cur = trial, grading_new, c_new, f_new
-                    accepted = True
                     lr = min(lr * 1.5, 1.0)
                     break
             lr *= 0.5
+            while 0 < reach <= lr:  # min(lr, reach) is the rejected step
+                lr *= 0.5
         history.append(f_cur)
-        if accepted and (history[-2] - history[-1]
-                         >= cfg.tolerance * max(f_cur, 1e-300)):
+        if last is not None and (history[-2] - history[-1]
+                                 >= cfg.tolerance * max(f_cur, 1e-300)):
             continue
         # stopped: the first time, the path re-spaced to equal arc length
         # goes on when it costs less
@@ -420,6 +464,7 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
         p, grading, c_cur, f_cur = q, grading_q, c_q, f_q
         history.append(f_cur)
         lr = 1.0
+        memory, last = [], None
     return p, history
 
 
@@ -433,28 +478,26 @@ def _solve(D: Domain, z1: complex, z2: complex, w1: complex, w2: complex,
     return path_quadrature("quasihyperbolic", D, poly), poly, history
 
 
-def _lifts(D: Domain, z1: complex, z2: complex):
-    """psi(z1) and the lifts of z2 in the order of their least possible
-    cost, each with that bound.  A simply connected kind has the one lift,
-    bound 0.  On the punctured disk, the one kind with a period, Re psi =
-    arg z, so a path whose lift ends at psi(z2) + 2 pi n winds through the
-    angle theta = Re psi(z2) + 2 pi n - Re psi(z1), and since delta <= |z|
-    it costs at least hypot(log(|z2|/|z1|), theta); the first lift has
-    theta in [-pi, pi)."""
+def _lifts(D: Domain, z1: complex, z2: complex) -> list:
+    """psi(z1) and the lifts of z2 that the solver relaxes between.  A
+    simply connected kind has the one lift.  On the punctured disk, the one
+    kind with a period, Re psi = arg z, and a path whose lift ends at
+    psi(z2) + 2 pi n winds through the angle theta = Re psi(z2) + 2 pi n -
+    Re psi(z1).  In log-polar coordinates the metric |dz|/delta is
+    w(rho) sqrt(drho^2 + dtheta^2), so theta -> alpha theta with
+    |alpha| < 1 shortens every path: no lift beats the one with theta
+    reduced into [-pi, pi), but at theta = -pi its mirror, at pi, ties it."""
     kind = domains.entry(D)
     w1, w2 = kind.psi(np.array([z1, z2], dtype=complex),
                       *D.params)[0].tolist()
     t = kind.period
     if t is None:
-        yield w1, w2, 0.0
-        return
+        return [(w1, w2)]
     d = _reduce(w2.real - w1.real, t)
-    # by |theta|: d, then alternately the next lift the other way round
-    away = -t if d >= 0 else t
-    for n in itertools.count():
-        shift = away * ((n + 1) // 2) * (1 if n % 2 else -1)
-        yield (w1, complex(w1.real + d + shift, w2.imag),
-               math.hypot(w1.imag - w2.imag, d + shift))
+    lifts = [(w1, complex(w1.real + d, w2.imag))]
+    if d == -t / 2:
+        lifts.append((w1, complex(w1.real + d + t, w2.imag)))
+    return lifts
 
 
 def quasihyperbolic_distance_detailed(D: Domain, z1: complex, z2: complex,
@@ -468,14 +511,8 @@ def quasihyperbolic_distance_detailed(D: Domain, z1: complex, z2: complex,
             raise OutsideDomainError(f"{z} is not interior to {D}")
     if z1 == z2:
         return 0.0, None, [0.0]
-    best = None
-    for w1, w2, bound in _lifts(D, z1, z2):
-        if best is not None and bound >= best[0]:
-            break
-        solved = _solve(D, z1, z2, w1, w2, cfg)
-        if best is None or solved[0] < best[0]:
-            best = solved
-    return best
+    return min((_solve(D, z1, z2, w1, w2, cfg)
+                for w1, w2 in _lifts(D, z1, z2)), key=lambda solved: solved[0])
 
 
 def quasihyperbolic_distance(D: Domain, z1: complex, z2: complex,
@@ -485,9 +522,10 @@ def quasihyperbolic_distance(D: Domain, z1: complex, z2: complex,
     The hyperbolic geodesic, psi^-1 of the half-plane geodesic, starts the
     relaxation: it lies in the geodesic's homotopy class, and its
     quasihyperbolic length is at most Q_D times the least (lambda <= 1/delta
-    <= Q_D lambda).  On the punctured disk each lift round the puncture is
-    solved whose winding leaves its lower bound below the best value found.
-    Monotone local relaxation of the node positions follows.  Returns
+    <= Q_D lambda).  On the punctured disk the lift whose winding is
+    reduced into [-pi, pi) is solved, and at a winding of pi also its
+    mirror, the lesser kept.  A monotone L-BFGS relaxation of the node
+    positions follows.  Returns
     (distance, Polyline); the geodesic is None for coincident endpoints.
     """
     value, poly, _ = quasihyperbolic_distance_detailed(D, z1, z2, cfg)
