@@ -89,6 +89,9 @@ def log_strip(c: complex = 1 + 0j) -> Domain:
 # pieces lists the analytic pieces of delta, each a closed-form distance to
 # part of the boundary and a fresh array, which the reductions overwrite:
 # delta is their least, and is not analytic where the least one changes.
+# slopes lists their gradients d/dx + i d/dy in the same order, each an
+# array or a constant broadcast against z: a distance to a point or a line
+# has a unit gradient, pointing away from it.
 # psi maps D onto the upper half-plane and comes with its derivative.  The
 # kernels do no membership check, for the solver's inner loop; the checked_*
 # functions add those of the scalar API, recording what each point raises.
@@ -96,6 +99,7 @@ def log_strip(c: complex = 1 + 0j) -> Domain:
 @dataclass(frozen=True)
 class Kind:
     pieces: Callable                 # delta's analytic pieces; see delta_vec
+    slopes: Callable                 # the pieces' gradients, in their order
     psi: Callable                    # (psi, psi')
     psi_inv: Callable                # the inverse of psi, on the half-plane
     # radius of a disc about z on which the least piece of delta is
@@ -110,6 +114,13 @@ class Kind:
     # or the shift of disk samples into D, which lies in the unit disk about
     # it
     centre: Callable | None = None
+
+
+def _unit(u):
+    # u / |u|, the slope of |u|; 0 at u = 0, where |u| has none, as a
+    # diameter of the disk passes through its centre
+    r = np.abs(u)
+    return u * np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)
 
 
 def _cayley(z):
@@ -132,6 +143,12 @@ def _slit_disk_pieces(z, c):
     side = u.real < 0.0
     return [1.0 - r, np.where(side, np.inf, r),
             np.where(side, np.abs(u.imag), np.inf)]
+
+
+def _slit_disk_slopes(z, c):
+    u = z - c
+    e = _unit(u)
+    return [-e, e, 1j * np.sign(u.imag)]
 
 
 def _slit_disk_psi(z, c):
@@ -159,6 +176,13 @@ def _log_strip_pieces(z, c):
     return [-k * u.real, k * (math.pi - u.imag), k * (math.pi + u.imag)]
 
 
+def _log_strip_slopes(z, c):
+    # -|c| Re(z/c) and |c| Im(z/c) are linear in z, with slopes -c/|c| and
+    # i c/|c|
+    e = c / abs(c)
+    return [-e, -1j * e, 1j * e]
+
+
 def _log_strip_psi(z, c):
     # exp(w) maps the strip onto the slit disk, whose psi at r = exp(w/2)
     # is -i sinh(w/2).  sinh overflows for Re w < -1420; lambda and h do not
@@ -175,12 +199,14 @@ def _log_strip_psi(z, c):
 _KINDS = {
     "unit_disk": Kind(
         pieces=lambda z: [1.0 - np.abs(z)],
+        slopes=lambda z: [-_unit(z)],
         psi=_cayley, psi_inv=lambda w: (w - 1j) / (w + 1j),
         centre=lambda: 0j,
         radius=lambda z: np.minimum(np.abs(z), 1.0 - np.abs(z)),
     ),
     "punctured_disk": Kind(
         pieces=lambda z: [1.0 - (r := np.abs(z)), r],
+        slopes=lambda z: [-(e := _unit(z)), e],
         psi=lambda z: (-1j * np.log(z), -1j / z),  # local branches only
         psi_inv=lambda w: np.exp(1j * w), period=2.0 * math.pi,
         centre=lambda: 0j,
@@ -188,6 +214,7 @@ _KINDS = {
     "upper_half_plane": Kind(
         # a fresh array, NaN where a NaN real part makes no point
         pieces=lambda z: [np.where(np.isnan(z.real), np.nan, z.imag)],
+        slopes=lambda z: [1j],
         psi=lambda z: (z, np.ones_like(z)), psi_inv=lambda w: w,
         sample_map="cayley",
     ),
@@ -195,17 +222,19 @@ _KINDS = {
         # the slit's side, then its tip
         pieces=lambda z: [np.where(z.real < -0.25, np.abs(z.imag), np.inf),
                           np.abs(z + 0.25)],
+        slopes=lambda z: [1j * np.sign(z.imag), _unit(z + 0.25)],
         # psi = i s with s = sqrt(4z + 1)
         psi=_koebe_psi, psi_inv=lambda w: ((-1j * w) ** 2 - 1) / 4,
         sample_map="koebe",
     ),
     "slit_disk": Kind(
-        _slit_disk_pieces, _slit_disk_psi, _slit_disk_psi_inv,
+        _slit_disk_pieces, _slit_disk_slopes, _slit_disk_psi,
+        _slit_disk_psi_inv,
         centre=lambda c: c,
     ),
     # the branch of asinh with Re < 0 and |Im| < pi/2 is the principal one
     # on the half-plane's image i w, whose real part is negative
-    "log_strip": Kind(_log_strip_pieces, _log_strip_psi,
+    "log_strip": Kind(_log_strip_pieces, _log_strip_slopes, _log_strip_psi,
                       lambda w, c: 2 * c * np.arcsinh(1j * w)),
 }
 

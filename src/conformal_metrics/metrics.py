@@ -71,7 +71,9 @@ class Polyline:
 class SolverConfig:
     relax_iterations: int = 500
     path_nodes: int = 128
-    tolerance: float = 1e-6        # relative improvement stopping threshold
+    # the relaxation stops where no step's first-order gain reaches this
+    # fraction of the functional
+    tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.path_nodes < 2:
@@ -93,16 +95,23 @@ def _weight_fn(density: str, D: Domain):
     raise ValueError("density must be 'hyperbolic' or 'quasihyperbolic'")
 
 
-def _scale(D: Domain, z: np.ndarray) -> np.ndarray:
-    """Rows: the radius about z on which 1/delta is analytic, at least
-    _KINK_C delta (Kind.radius), and the index of the piece of delta's
-    closed form that is least at z, the earlier one on a tie."""
-    kind = domains.entry(D)
-    pieces = kind.pieces(z, *D.params)
+def _least_piece(D: Domain, z: np.ndarray):
+    """delta at z, the least of its closed form's pieces (Kind.pieces), and
+    the index of that piece, the earlier one on a tie."""
+    pieces = domains.entry(D).pieces(z, *D.params)
     d, label = pieces[0], 0
     for k, p in enumerate(pieces[1:], 1):
         label = np.where(p < d, k, label)
         np.minimum(d, p, out=d)  # the pieces are fresh arrays
+    return d, label
+
+
+def _scale(D: Domain, z: np.ndarray) -> np.ndarray:
+    """Rows: the radius about z on which 1/delta is analytic, at least
+    _KINK_C delta (Kind.radius), and the index of the piece of delta's
+    closed form that is least at z (_least_piece)."""
+    kind = domains.entry(D)
+    d, label = _least_piece(D, z)
     out = np.empty((2,) + d.shape)
     out[0] = (d if kind.radius is None
               else np.maximum(kind.radius(z, *D.params), _KINK_C * d))
@@ -196,12 +205,43 @@ def _whole_segments(n: int):
 
 def _segment_costs(weight, a: np.ndarray, b: np.ndarray,
                    grading) -> np.ndarray:
-    """Quadrature of `weight` along segments a[..., i] -> b[..., i] on the
-    rule of _grade.  Stacked segment lists cost one pass and share the
-    grading; each list's costs equal those of its own call bit for bit."""
+    """Quadrature of `weight` along the segments a[i] -> b[i] on the rule
+    of _grade."""
     t, w, seg, starts = grading
-    z = a[..., seg] + (b - a)[..., seg] * t
-    return np.abs(b - a) * np.add.reduceat(weight(z) * w, starts, axis=-1)
+    z = a[seg] + (b - a)[seg] * t
+    return np.abs(b - a) * np.add.reduceat(weight(z) * w, starts)
+
+
+def _node_gradient(D: Domain, p: np.ndarray, grading):
+    """The quasihyperbolic costs of the segments of p on the rule of _grade,
+    those of _segment_costs bit for bit, and the gradient of their sum with
+    respect to the interior nodes, as complex numbers d/dx + i d/dy.
+
+    The segment a -> b, of length L and direction u = (b - a) / L, costs
+    C = L int w with w = 1/delta at a + t (b - a), so
+        dC/da = -u int w + L int (1 - t) grad w,
+        dC/db =  u int w + L int t grad w,
+    where grad w = -grad delta / delta^2 and grad delta is the slope of the
+    least piece of delta (Kind.slopes).  The integrals are the rule's own
+    sums: the exact gradient of the discrete functional on this grading.
+    """
+    t, w, seg, starts = grading
+    a, step = p[:-1], np.diff(p)
+    z = a[seg] + step[seg] * t
+    d, label = _least_piece(D, z)
+    slope, *rest = domains.entry(D).slopes(z, *D.params)
+    for k, s in enumerate(rest, 1):
+        slope = np.where(label == k, s, slope)
+    inv = 1.0 / d
+    weighted = inv * w
+    # grad w times the weights
+    dw = slope * (-inv * weighted)
+    length = np.abs(step)
+    total = np.add.reduceat(weighted, starts)
+    to_a = length * np.add.reduceat(dw * (1.0 - t), starts)
+    to_b = length * np.add.reduceat(dw * t, starts)
+    along = step / length * total
+    return length * total, (along + to_b)[:-1] + (to_a - along)[1:]
 
 
 def path_quadrature(density: str, D: Domain, path: Polyline,
@@ -373,83 +413,76 @@ def _lbfgs_direction(k: np.ndarray, grad: np.ndarray, memory) -> np.ndarray:
 def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
     """Monotone L-BFGS descent on the quadrature functional.
 
-    Gradient by batched finite differences on segment costs.  The direction
-    is the limited-memory quasi-Newton one (_lbfgs_direction) over the last
-    _MEMORY pairs of node and gradient changes between accepted paths, whose
-    initial inverse Hessian is the tridiagonal weighted Laplacian's (the
-    Hessian of the dominant length-times-weight part); a pair enters only
-    when s.y > 0.  The step is scaled as a whole so that no node moves by
-    more than _RELAX_STEP times its delta.  Each path is costed on its own
-    grading (_grade), which the perturbed costs of the gradient reuse.  A
-    trial update is accepted only if it stays interior, its grading
-    resolves and it strictly lowers the functional; the line search gives
-    up at a step whose first-order gain is below the stopping threshold.
-    When the descent stops, the path re-spaced to equal arc length takes
-    over, once, if it costs less, with an empty memory.  So the recorded
-    history is non-increasing by construction.
+    Each path is costed on its own grading (_grade), and an accepted path's
+    gradient is the exact one of the functional on that grading
+    (_node_gradient), computed once.  The direction is the limited-memory
+    quasi-Newton one (_lbfgs_direction) over the last _MEMORY pairs of node
+    and gradient changes between accepted paths, whose initial inverse
+    Hessian is the tridiagonal weighted Laplacian's (the Hessian of the
+    dominant length-times-weight part); a pair enters only when s.y > 0.
+    The step is scaled as a whole so that no node moves by more than
+    _RELAX_STEP times its delta.  A trial update is accepted only if it
+    stays interior, its grading resolves and it strictly lowers the
+    functional.  The descent stops when no step is accepted whose
+    first-order gain, -grad . step, reaches cfg.tolerance times the
+    functional: the line search gives up at such a step.  At a full step
+    that gain is the size of the preconditioned gradient.  When the descent
+    stops, the path re-spaced to equal arc length takes over, once, if it
+    costs less, with an empty memory.  So the recorded history is
+    non-increasing by construction.
     """
     weight = _weight_fn("quasihyperbolic", D)
 
-    def costs(q):
+    def cost(q):
         grading, resolved = _grade(D, q, _PIECE_C)
-        return grading, resolved, _segment_costs(weight, q[:-1], q[1:],
-                                                 grading)
+        return grading, resolved, float(np.sum(
+            _segment_costs(weight, q[:-1], q[1:], grading)))
 
-    grading, _, c_cur = costs(p)
+    grading, _ = _grade(D, p, _PIECE_C)
+    c_cur, grad = _node_gradient(D, p, grading)
     f_cur = float(np.sum(c_cur))
     if len(p) < 3:
         return p, [f_cur]
 
-    h = 1e-7 * max(1.0, float(np.max(np.abs(np.diff(p)))))
     lr = 1.0
     history = [f_cur]
     respaced = False
-    # the pairs of _remember, and the nodes and gradient before a step
-    memory, last = [], None
+    # the pairs of _remember
+    memory = []
     for _ in range(cfg.relax_iterations):
-        a, b = p[:-1], p[1:]
-        # the segment costs with the left or the right end moved by h along
-        # x, then along y, in one call on the current grading
-        clx, crx, cly, cry = _segment_costs(
-            weight, np.stack([a + h, a, a + 1j * h, a]),
-            np.stack([b, b + h, b, b + 1j * h]), grading)
-        gx = (crx[:-1] - c_cur[:-1] + clx[1:] - c_cur[1:]) / h
-        gy = (cry[:-1] - c_cur[:-1] + cly[1:] - c_cur[1:]) / h
-        grad = gx + 1j * gy
         if not np.any(np.abs(grad) > 0):
             break
-        if last is not None:
-            memory = _remember(memory, p[1:-1] - last[0], grad - last[1])
-            last = None
         # spring constants: mean weight on each segment over its length
-        g = _lbfgs_direction(c_cur / np.abs(b - a) ** 2, grad, memory)
+        g = _lbfgs_direction(c_cur / np.abs(np.diff(p)) ** 2, grad, memory)
         # the step is g times min(lr, reach): at reach the node nearest its
         # cap meets it
         cap, mag = _RELAX_STEP * domains.delta_vec(D, p[1:-1]), np.abs(g)
         reach = min(1.0, float(np.min(np.divide(
             cap, mag, out=np.full(len(g), np.inf), where=mag > 0))))
+        moved = False
         while lr > 1e-14:
             disp = -g * min(lr, reach)
             # a step whose first-order gain is below the stopping threshold
-            # would end the descent if it were accepted
+            # ends the descent
             if -_dot(grad, disp) < cfg.tolerance * f_cur:
                 break
             trial = p.copy()
             trial[1:-1] = p[1:-1] + disp
             if np.all(domains.delta_vec(D, trial[1:-1]) > 1e-12):
-                grading_new, resolved, c_new = costs(trial)
-                f_new = float(np.sum(c_new))
+                grading_new, resolved, f_new = cost(trial)
                 if resolved and f_new < f_cur:
-                    last = p[1:-1], grad
-                    p, grading, c_cur, f_cur = trial, grading_new, c_new, f_new
+                    c_cur, grad_new = _node_gradient(D, trial, grading_new)
+                    memory = _remember(memory, trial[1:-1] - p[1:-1],
+                                       grad_new - grad)
+                    p, grad, f_cur = trial, grad_new, f_new
+                    moved = True
                     lr = min(lr * 1.5, 1.0)
                     break
             lr *= 0.5
             while 0 < reach <= lr:  # min(lr, reach) is the rejected step
                 lr *= 0.5
         history.append(f_cur)
-        if last is not None and (history[-2] - history[-1]
-                                 >= cfg.tolerance * max(f_cur, 1e-300)):
+        if moved:
             continue
         # stopped: the first time, the path re-spaced to equal arc length
         # goes on when it costs less
@@ -457,14 +490,14 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
             break
         respaced = True
         q = _resample(p, len(p))
-        grading_q, resolved, c_q = costs(q)
-        f_q = float(np.sum(c_q))
+        grading_q, resolved, f_q = cost(q)
         if not (resolved and f_q < f_cur):
             break
-        p, grading, c_cur, f_cur = q, grading_q, c_q, f_q
+        p, f_cur = q, f_q
+        c_cur, grad = _node_gradient(D, p, grading_q)
         history.append(f_cur)
         lr = 1.0
-        memory, last = [], None
+        memory = []
     return p, history
 
 

@@ -270,6 +270,54 @@ def test_psi_inv_inverts_psi(D):
     assert domains.contains_vec(D, back).all()
 
 
+# points of each kind within 1e-3 of where a piece of delta has no
+# gradient or is cut off: the disks' centre, the slits' lines and tips
+_NEAR_A_SINGULAR_SET = {
+    "unit_disk": lambda z: np.abs(z) < 1e-3,
+    "punctured_disk": lambda z: np.abs(z) < 1e-3,
+    "upper_half_plane": lambda z: np.zeros(z.shape, dtype=bool),
+    "koebe_slit_plane": lambda z: (np.abs(z.imag) < 1e-3)
+    | (np.abs(z.real + 0.25) < 1e-3),
+    "slit_disk": lambda z: (np.abs(z.imag - 0.3) < 1e-3)
+    | (np.abs(z.real + 0.2) < 1e-3),
+    "log_strip": lambda z: np.zeros(z.shape, dtype=bool),
+}
+
+
+@pytest.mark.parametrize("D", [unit_disk(), punctured_disk(),
+                               upper_half_plane(), koebe_slit_plane(),
+                               slit_disk(-0.2 + 0.3j), log_strip(2 - 1j)],
+                         ids=lambda D: D.kind)
+def test_slopes_are_the_gradients_of_the_pieces(D):
+    # central differences of each piece, step 1e-7, at seeded interior
+    # points where the piece and its four neighbours are finite
+    kind = domains.entry(D)
+    rng = np.random.default_rng(11)
+    centre = D.params[0] if D.kind == "slit_disk" else 0j
+    z = centre + 4 * (rng.random(4000) - 0.5 + 1j * (rng.random(4000) - 0.5))
+    z = z[domains.contains_vec(D, z) & ~_NEAR_A_SINGULAR_SET[D.kind](z)]
+    assert len(z) > 500
+    h = 1e-7
+    moved = [kind.pieces(z + s, *D.params) for s in (h, -h, 1j * h, -1j * h)]
+    slopes = kind.slopes(z, *D.params)
+    assert len(slopes) == len(kind.pieces(z, *D.params))
+    for k, slope in enumerate(slopes):
+        finite = np.all([np.isfinite(x[k]) for x in moved], axis=0)
+        assert finite.sum() > 100
+        right, left, up, down = (x[k][finite] for x in moved)
+        want = (right - left + 1j * (up - down)) / (2 * h)
+        got = np.broadcast_to(slope, z.shape)[finite]
+        assert np.all(np.abs(got - want) < 1e-6)
+
+
+def test_disk_slope_at_the_centre_is_zero():
+    # a diameter passes through the centre, where 1 - |z| has no gradient;
+    # the slope there is 0, not NaN
+    with np.errstate(all="raise"):
+        (slope,) = domains.entry(unit_disk()).slopes(np.array([0j, 0.5j]))
+    assert slope.tolist() == [0j, -1j]
+
+
 def test_pushforward_density_error_types():
     with pytest.raises(OutsideDomainError):
         pushforward_density(cayley_map(), unit_disk(), 2.0)
