@@ -438,11 +438,11 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
         return grading, resolved, float(np.sum(
             _segment_costs(weight, q[:-1], q[1:], grading)))
 
-    grading, _ = _grade(D, p, _PIECE_C)
+    grading, resolved = _grade(D, p, _PIECE_C)
+    if not resolved:
+        raise OutsideDomainError("path meets the boundary of the domain")
     c_cur, grad = _node_gradient(D, p, grading)
     f_cur = float(np.sum(c_cur))
-    if len(p) < 3:
-        return p, [f_cur]
 
     lr = 1.0
     history = [f_cur]
@@ -512,18 +512,17 @@ def _solve(D: Domain, z1: complex, z2: complex, w1: complex, w2: complex,
 
 
 def _lifts(D: Domain, z1: complex, z2: complex) -> list:
-    """psi(z1) and the lifts of z2 that the solver relaxes between.  A
+    """psi(z1) and the lifts of z2 that the solver relaxes between, psi
+    read through domains.checked_psi, which raises for a point not in D.  A
     simply connected kind has the one lift.  On the punctured disk, the one
     kind with a period, Re psi = arg z, and a path whose lift ends at
     psi(z2) + 2 pi n winds through the angle theta = Re psi(z2) + 2 pi n -
     Re psi(z1).  In log-polar coordinates the metric |dz|/delta is
-    w(rho) sqrt(drho^2 + dtheta^2), so theta -> alpha theta with
-    |alpha| < 1 shortens every path: no lift beats the one with theta
-    reduced into [-pi, pi), but at theta = -pi its mirror, at pi, ties it."""
-    kind = domains.entry(D)
-    w1, w2 = kind.psi(np.array([z1, z2], dtype=complex),
-                      *D.params)[0].tolist()
-    t = kind.period
+    w(rho) sqrt(drho^2 + dtheta^2), so theta -> alpha theta with |alpha| < 1
+    shortens every path: no lift beats the one with theta reduced into
+    [-pi, pi), but at theta = -pi its mirror, at pi, ties it."""
+    w1, w2 = at_point(domains.checked_psi, D, [z1, z2])[0].tolist()
+    t = domains.entry(D).period
     if t is None:
         return [(w1, w2)]
     d = _reduce(w2.real - w1.real, t)
@@ -539,13 +538,11 @@ def quasihyperbolic_distance_detailed(D: Domain, z1: complex, z2: complex,
     relaxation objective history (non-increasing)."""
     cfg = cfg or SolverConfig()
     z1, z2 = complex(z1), complex(z2)
-    for z in (z1, z2):
-        if not domains.contains(D, z):
-            raise OutsideDomainError(f"{z} is not interior to {D}")
+    lifts = _lifts(D, z1, z2)
     if z1 == z2:
         return 0.0, None, [0.0]
-    return min((_solve(D, z1, z2, w1, w2, cfg)
-                for w1, w2 in _lifts(D, z1, z2)), key=lambda solved: solved[0])
+    return min((_solve(D, z1, z2, w1, w2, cfg) for w1, w2 in lifts),
+               key=lambda solved: solved[0])
 
 
 def quasihyperbolic_distance(D: Domain, z1: complex, z2: complex,

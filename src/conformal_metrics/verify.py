@@ -69,17 +69,18 @@ class SampleSet:
                                  "|z| = 1: every sample would round onto "
                                  "the unit circle")
 
-    def _disk_array(self) -> np.ndarray:
-        """Sample points in the unit disk according to the strategy.
+    def _disk_array(self, D: Domain | None = None) -> np.ndarray:
+        """Sample points in the unit disk according to the strategy, shifted
+        by the centre of D when D, a kind with a centre, is given.
 
         Each sample takes two draws from random.Random(seed): the angle,
         then the radius (or, for radial_line, the abscissa).  A sample at 0,
-        or one that rounds onto or beyond the unit circle (near_boundary
-        with eps near float resolution at |z| = 1), is dropped and the
-        stream continues.
-        """
+        one that rounds onto or beyond the unit circle (near_boundary with
+        eps near float resolution at |z| = 1), or one whose shift rounds
+        outside D is dropped, and the stream continues."""
         rng = random.Random(self.seed)
         e = self.eps if self.eps is not None else 1e-6
+        c = None if D is None else domains.entry(D).centre(*D.params)
         out = np.empty(0, dtype=complex)
         while len(out) < self.count:
             u = _draws(rng, self.count - len(out))
@@ -94,7 +95,11 @@ class SampleSet:
                           th)
             else:
                 raise ValueError(f"unknown strategy {self.strategy!r}")
-            out = np.concatenate([out, z[(z != 0) & (np.abs(z) < 1.0)]])
+            z = z[(z != 0) & (np.abs(z) < 1.0)]
+            if c is not None:
+                z = z + c
+                z = z[domains.contains_vec(D, z)]
+            out = np.concatenate([out, z])
         return out
 
     def disk_points(self) -> list[complex]:
@@ -103,26 +108,15 @@ class SampleSet:
 
     def points(self, D: Domain) -> np.ndarray:
         """Samples inside D, as a complex array: disk samples pushed through
-        the catalog map onto D, or shifted to D's centre, where those outside
-        D give way to uniform draws from random.Random(seed + 1)."""
-        base = self._disk_array()
+        the catalog map onto D, or shifted to D's centre, where one that
+        rounds outside D gives way to the strategy's next draw."""
         entry = domains.entry(D)
         if entry.sample_map is not None:
             with np.errstate(all="ignore"):
-                return maps.sample_values(entry.sample_map, base)
+                return maps.sample_values(entry.sample_map, self._disk_array())
         if entry.centre is None:
-            raise ValueError(f"no sampling strategy for domain kind "
-                             f"{D.kind!r}")
-        c = entry.centre(*D.params)
-        out = base + c
-        out = out[domains.contains_vec(D, out)]
-        rng = random.Random(self.seed + 1)
-        while len(out) < self.count:
-            u = _draws(rng, self.count - len(out))
-            z = _rect(np.sqrt(u[:, 0]), _uniform(-math.pi, math.pi,
-                                                 u[:, 1])) + c
-            out = np.concatenate([out, z[domains.contains_vec(D, z)]])
-        return out
+            raise ValueError(f"no sampling strategy for domain kind {D.kind!r}")
+        return self._disk_array(D)
 
 
 def _draws(rng: random.Random, n: int) -> np.ndarray:
@@ -423,15 +417,14 @@ def check_log_construction(D: Domain, z0: complex, c: complex = 1.0) -> BoundRep
         raise ValueError("log construction is defined on punctured-disk or "
                          "slit-disk bases")
     z0 = complex(z0)
-    if not domains.contains(D, z0):
-        raise OutsideDomainError(f"{z0} not interior to {D}")
+    delta = domains.boundary_distance(D, z0)
     zeta0 = D.params[0] if D.kind == "slit_disk" else 0j
     f = maps.log_slit_map(zeta0, c)
     at = z0 if D.kind == "slit_disk" else zeta0 + abs(z0 - zeta0)
     fprime = abs(f.jet(at).f1)
     delta_image = maps.image_boundary_distance(f, f.base_domain, at)
     r = fprime / delta_image
-    a = r * domains.boundary_distance(D, z0)
+    a = r * delta
     b = r / domains.hyperbolic_density(D, z0)
     c = f.params[1]
     constants = {

@@ -347,6 +347,29 @@ def test_non_finite_literals_are_usage_errors(capsys, argv, bad):
     assert err == f"error: {bad!r} is not a finite number\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # both metrics read the endpoints through the same checked kernel
+    (["disk", "--metric", "hyp", "--from", "2", "--to", "0"],
+     "(2+0j) is not an interior point of Domain(unit_disk)"),
+    (["disk", "--metric", "qhyp", "--from", "2", "--to", "0"],
+     "(2+0j) is not an interior point of Domain(unit_disk)"),
+    # a 2-node path is the chord, which crosses the boundary
+    (["pdisk", "--metric", "qhyp", "--from", "0.5", "--to", "-0.5",
+      "--path-nodes", "2"], "path meets the boundary of the domain"),
+    (["koebe-slit", "--metric", "qhyp", "--from", "-2,0.5",
+      "--to", "-2,-0.5", "--path-nodes", "2"],
+     "path meets the boundary of the domain"),
+    (["slit-disk", "--metric", "qhyp", "--from", "-0.5,0.1",
+      "--to", "-0.5,-0.1", "--path-nodes", "2"],
+     "path meets the boundary of the domain"),
+], ids=["hyp-outside", "qhyp-outside", "pdisk-chord", "koebe-chord",
+        "slit-disk-chord"])
+def test_distance_errors_are_one_line(capsys, argv, message):
+    code, out, err = run(capsys, "distance", "--domain", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_eps_below_float_resolution_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--kind", "thm21", "--map",
                          "koebe", "--domain", "disk", "--strategy",

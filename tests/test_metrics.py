@@ -257,6 +257,30 @@ def test_solver_triangle_inequality():
 def test_solver_rejects_outside_endpoint():
     with pytest.raises(OutsideDomainError):
         quasihyperbolic_distance(unit_disk(), 0, 1.5)
+    # the endpoints are read through the scalar API's checked kernel
+    with pytest.raises(OutsideDomainError) as exc:
+        quasihyperbolic_distance(unit_disk(), 2, 0)
+    assert str(exc.value) == (
+        "(2+0j) is not an interior point of Domain(unit_disk)")
+
+
+def test_two_node_solve_across_the_puncture_raises():
+    # the chord through 0 meets the boundary: the start's grading does not
+    # resolve, and no gradient is taken on it
+    with pytest.raises(OutsideDomainError,
+                       match="path meets the boundary of the domain"):
+        quasihyperbolic_distance(punctured_disk(), 0.5, -0.5,
+                                 SolverConfig(path_nodes=2))
+
+
+def test_two_node_solve_is_the_chord():
+    # the vertical chord is the half-plane's geodesic: k = log 4, and a path
+    # with no interior node has nothing to relax
+    k, path, history = quasihyperbolic_distance_detailed(
+        upper_half_plane(), 1j, 4j, SolverConfig(path_nodes=2))
+    assert k == pytest.approx(math.log(4), rel=1e-9)
+    assert path.points == (1j, 4j)
+    assert len(history) == 1
 
 
 def test_solver_config_validation():
@@ -670,6 +694,19 @@ def test_punctured_disk_keeps_the_lesser_lift(monkeypatch):
     # the two lifts go round the puncture on opposite sides
     assert np.sign([s[1].as_array()[64].imag for s in solves]).tolist() in (
         [1, -1], [-1, 1])
+
+
+def test_punctured_disk_mirror_lift_is_kept_where_it_is_lower(monkeypatch):
+    # an antipodal pair next to the puncture: Re(psi(b) - psi(a)) reduces to
+    # -pi exactly, and the two relaxed lifts do not tie.  The reduced lift
+    # ends at 7.184828717, its mirror at 7.183853183: a solver that kept
+    # only the first fails, one that relaxes further still passes
+    a = -0.0008190246371365335 + 0.0009939113100878485j
+    b = 0.43692584702671106 - 0.530222805687307j
+    solves = _recording_solves(monkeypatch)
+    k, _ = quasihyperbolic_distance(punctured_disk(), a, b)
+    assert len(solves) == 2
+    assert k < 7.18386
 
 
 def test_punctured_disk_bound_skips_the_next_lift(monkeypatch):

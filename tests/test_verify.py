@@ -428,6 +428,10 @@ def test_log_construction_guards():
         check_log_construction(unit_disk(), 0.5)
     with pytest.raises(OutsideDomainError):
         check_log_construction(punctured_disk(), 0.0)
+    with pytest.raises(OutsideDomainError) as exc:
+        check_log_construction(punctured_disk(), 1.5)
+    assert str(exc.value) == (
+        "(1.5+0j) is not an interior point of Domain(punctured_disk)")
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +742,23 @@ def test_bulk_draws_match_per_call_random(n):
         want = np.array([loop.random() for _ in range(2 * n)]).reshape(n, 2)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert bulk.getstate() == loop.getstate()
+
+
+def test_centre_kind_samples_rounding_outside_give_way_to_the_next_draw():
+    # one near_boundary draw of this seed, shifted by the centre, rounds
+    # outside the slit disk; the strategy's next draw from the same stream,
+    # not a uniform one, takes its place
+    c = 0.625 - 1j
+    D = slit_disk(c)
+    samples = SampleSet(seed=1, count=5000, strategy="near_boundary",
+                        eps=2e-16)
+    z = samples.points(D)
+    wide = SampleSet(seed=1, count=5010, strategy="near_boundary",
+                     eps=2e-16)._disk_array() + c
+    inside = domains.contains_vec(D, wide)
+    assert not inside[:5001].all()
+    assert z.tobytes() == wide[inside][:5000].tobytes()
+    assert 1 - abs(z[-1] - c) < 1e-12
 
 
 def test_near_boundary_samples_rounding_onto_the_circle_are_dropped():
