@@ -14,7 +14,6 @@ from .domains import (
     koebe_slit_plane,
     log_strip,
     punctured_disk,
-    pushforward_density,
     slit_disk,
     unit_disk,
     upper_half_plane,
@@ -44,6 +43,7 @@ from .maps import (
     parse_map_spec,
     power_map,
     punctured_disk_covering_map,
+    pushforward_density,
 )
 from .metrics import (
     Polyline,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
@@ -18,23 +17,16 @@ import numpy as np
 
 from . import domains, maps, metrics, verify
 from .domains import Domain
-from .errors import ConformalMetricsError, at_point
+from .errors import ConformalMetricsError, at_point, parse_finite
 
 __all__ = ["main", "parse_domain_spec", "parse_complex"]
-
-
-def _finite(text: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"{text!r} is not a finite number")
-    return x
 
 
 def parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ValueError(f"bad complex literal {text!r} (want re or re,im)")
-    return complex(*(_finite(part) for part in parts))
+    return complex(*(parse_finite(part) for part in parts))
 
 
 _DOMAIN_TAGS = {
@@ -177,11 +169,11 @@ def _cmd_sweep(args) -> int:
     f = maps.parse_map_spec(args.map) if args.map else None
     if f is None and args.quantity != "pdisk-ratio":
         raise ValueError(f"--quantity {args.quantity} needs --map")
-    a, b = _finite(getattr(args, "from")), _finite(args.to)
+    a, b = parse_finite(getattr(args, "from")), parse_finite(args.to)
     params = np.linspace(a, b, args.steps)
     if args.quantity == "pdisk-ratio":
-        values = [verify.punctured_disk_ratio(t) for t in params]
-        bounds = [float("inf")] * len(params)
+        values = at_point(verify.checked_punctured_disk_ratio, params)
+        bounds = np.full(len(params), np.inf)
     else:
         kind, power = _SWEEP_BOUNDS[args.quantity]
         values, lam = at_point(_quantity_and_density, f, D, params,

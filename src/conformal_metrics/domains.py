@@ -30,7 +30,6 @@ __all__ = [
     "contains",
     "boundary_distance",
     "hyperbolic_density",
-    "pushforward_density",
     "simply_connected",
 ]
 
@@ -335,14 +334,3 @@ def boundary_distance(D: Domain, z: complex) -> float:
 def hyperbolic_density(D: Domain, z: complex) -> float:
     """Poincare density of D at z, curvature -4 normalization."""
     return float(at_point(checked_density, D, z)[0])
-
-
-def pushforward_density(f, base: Domain, z: complex) -> float:
-    """lambda of f(base) at the point f(z), via conformal invariance:
-    lambda_{f(D)}(f(z)) = lambda_D(z) / |f'(z)|."""
-    lam = hyperbolic_density(base, z)
-    j = f.jet(z)
-    if j.f1 == 0:
-        raise SingularPointError(f"f'({z}) = 0")
-    return lam / abs(j.f1)
-

@@ -3,7 +3,11 @@
 All recoverable failures raise a subclass of :class:`ConformalMetricsError`
 so that sweeps can catch one type, record the sample as skipped, and move on.
 Array evaluations record those errors per point in a :class:`Faults`.
+A number read from text, a point's coordinate or a map's parameter, passes
+through :func:`parse_finite`.
 """
+
+import math
 
 import numpy as np
 
@@ -42,6 +46,15 @@ class QuadratureError(ConformalMetricsError):
 
 class InvalidParameterError(ConformalMetricsError, ValueError):
     """Catalog constructor called with parameters violating its invariants."""
+
+
+def parse_finite(text: str) -> float:
+    """The finite number `text` spells; InvalidParameterError for a NaN or
+    an infinity, or for one beyond the float range."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise InvalidParameterError(f"{text!r} is not a finite number")
+    return x
 
 
 class Faults:

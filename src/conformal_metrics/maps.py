@@ -8,6 +8,7 @@ No numerical differentiation anywhere.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,9 +22,9 @@ from .errors import (
     InvalidParameterError,
     MapNotUnivalentError,
     NoDensityRouteError,
-    OutsideDomainError,
     SingularPointError,
     at_point,
+    parse_finite,
 )
 from .jets import Jet3, JetArray, check_finite, compose
 
@@ -39,6 +40,7 @@ __all__ = [
     "make_catalog_map",
     "eval_jet",
     "image_boundary_distance",
+    "pushforward_density",
     "compose_maps",
     "parse_map_spec",
 ]
@@ -129,6 +131,9 @@ def log_slit_map(zeta0: complex, c: complex) -> AnalyticMap:
 def power_map(n: int) -> AnalyticMap:
     if n < 1:
         raise InvalidParameterError("power exponent must be >= 1")
+    if n * (n - 1) * (n - 2) > sys.float_info.max:
+        raise InvalidParameterError("power exponent too large: its jet "
+                                    "coefficients overflow")
     return AnalyticMap(
         "power", (int(n),), domains.unit_disk(), n == 1,
         image_domain=domains.unit_disk() if n == 1 else None, entire=True,
@@ -172,10 +177,11 @@ def parse_map_spec(spec: str) -> AnalyticMap:
     """Parse the CLI mini-grammar `name[:p1,p2,...]`.
 
     mobius takes (a_re, theta) or (a_re, a_im, theta); logslit takes
-    (zeta_re, c_re) or (zeta_re, zeta_im, c_re, c_im); power takes n.
+    (zeta_re, c_re) or (zeta_re, zeta_im, c_re, c_im); power takes n.  A
+    parameter must be a finite number.
     """
     name, _, rest = spec.partition(":")
-    args = [float(t) for t in rest.split(",")] if rest else []
+    args = [parse_finite(t) for t in rest.split(",")] if rest else []
     name = name.strip()
     if name == "mobius":
         if len(args) == 2:
@@ -276,10 +282,14 @@ def checked_jet(f: AnalyticMap, z: np.ndarray, faults: Faults) -> JetArray:
     """Jets of f at every point of z, flagging in `faults` what eval_jet
     raises at each point."""
     if not f.entire:
-        faults.flag(~domains.contains_vec(f.base_domain, z), lambda i:
-                    OutsideDomainError(f"{complex(z.flat[i])} outside base "
-                                       f"domain of {f.describe()}"))
+        domains.checked_delta(f.base_domain, z, faults)
     return _jet_formula(f, z, faults)
+
+
+def flag_critical(z: np.ndarray, jet: JetArray, faults: Faults):
+    """Flag in `faults` the points of z where the jet's f' is 0."""
+    faults.flag(jet.f1 == 0, lambda i: SingularPointError(
+        f"f'({complex(z.flat[i])}) = 0"))
 
 
 def eval_jet(f: AnalyticMap, z: complex) -> Jet3:
@@ -315,6 +325,27 @@ def checked_image_delta(f: AnalyticMap, base: Domain, z: np.ndarray,
 def image_boundary_distance(f: AnalyticMap, base: Domain, z: complex) -> float:
     """delta of f(base) at f(z), in the catalog image domain of f."""
     return float(at_point(checked_image_delta, f, base, z)[0])
+
+
+# ---------------------------------------------------------------------------
+# pushforward density
+
+def checked_pushforward_density(f: AnalyticMap, base: Domain, z: np.ndarray,
+                                faults: Faults) -> np.ndarray:
+    """lambda of f(base) at f(z), lambda_base(z) / |f'(z)|, at every point
+    of z, flagging in `faults` what pushforward_density raises at each
+    point: the density's errors, the jet's, then f' = 0."""
+    lam = domains.checked_density(base, z, faults)
+    jet = checked_jet(f, z, faults)
+    flag_critical(z, jet, faults)
+    # hypot rounds |f'| more closely than np.abs of a complex array does
+    return lam / np.hypot(jet.f1.real, jet.f1.imag)
+
+
+def pushforward_density(f: AnalyticMap, base: Domain, z: complex) -> float:
+    """lambda of f(base) at the point f(z), via conformal invariance:
+    lambda_{f(D)}(f(z)) = lambda_D(z) / |f'(z)|."""
+    return float(at_point(checked_pushforward_density, f, base, z)[0])
 
 
 # ---------------------------------------------------------------------------

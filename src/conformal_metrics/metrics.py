@@ -37,11 +37,13 @@ _GL_WEIGHTS = 0.5 * np.array(
 # A quadrature piece is no longer than _PIECE_C times the radius on which
 # 1/delta is analytic, nor than _KINK_C times that where delta's closed form
 # changes pieces; a piece over its bound splits into up to 2**_FANOUT parts,
-# down to _MIN_WIDTH of its segment (see _grade).
+# down to _MIN_WIDTH of its segment, into at most _MAX_PIECES pieces in all
+# (see _grade).
 _PIECE_C = 0.5
 _KINK_C = 1e-4
 _FANOUT = 4
 _MIN_WIDTH = 2.0 ** -60
+_MAX_PIECES = 2 ** 18
 # The relaxation moves a node by at most _RELAX_STEP times its delta per
 # iteration; its quasi-Newton update keeps the last _MEMORY pairs.
 _RELAX_STEP = 0.25
@@ -135,7 +137,9 @@ def _grade(D: Domain, p: np.ndarray, c: float):
     Returns ((t, w, seg, starts), resolved): the nodes t and weights w in the
     segment parameter s in [0, 1], the segment of each node and the first
     node of each segment, in order; and False when a piece still fails its
-    bound at _MIN_WIDTH, as one does where a segment meets the boundary.
+    bound at _MIN_WIDTH, as one does where a segment meets the boundary, or
+    when splitting would make more than _MAX_PIECES pieces, as a segment
+    that grazes the boundary asks for.
     """
     n = len(p) - 1
     a, step = p[:-1], np.diff(p)
@@ -145,6 +149,7 @@ def _grade(D: Domain, p: np.ndarray, c: float):
     at = _scale(D, np.concatenate([p, a + 0.5 * step]))
     at_lo, at_hi, at_mid = at[:, :n], at[:, 1:n + 1], at[:, n + 1:]
     done = []
+    finished = 0  # pieces in done
     resolved = False
     while True:
         bound = c * np.minimum(np.minimum(at_lo[0], at_hi[0]), at_mid[0])
@@ -158,9 +163,12 @@ def _grade(D: Domain, p: np.ndarray, c: float):
             break
         if width[split].min() <= _MIN_WIDTH:
             break
-        done.append((seg[~split], lo[~split], width[~split]))
         parts = 2 ** np.clip(np.ceil(np.log2(over[split])), 1, _FANOUT)
         parts = parts.astype(int)
+        finished += len(seg) - len(parts)
+        if finished + int(parts.sum()) > _MAX_PIECES:
+            break
+        done.append((seg[~split], lo[~split], width[~split]))
         first = np.cumsum(parts) - parts
         at_first, at_last = at_lo[:, split], at_hi[:, split]
         seg = np.repeat(seg[split], parts)
@@ -255,8 +263,7 @@ def path_quadrature(density: str, D: Domain, path: Polyline,
     """
     weight = _weight_fn(density, D)
     p = path.as_array()
-    if not np.all(domains.contains_vec(D, p)):
-        raise OutsideDomainError("path has a node outside the domain")
+    at_point(domains.checked_delta, D, p)
     values = []
     for c in (0.5 * _PIECE_C, 0.25 * _PIECE_C):
         grading, resolved = _grade(D, p, c)

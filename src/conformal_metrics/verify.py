@@ -205,21 +205,26 @@ def quantity(f: AnalyticMap, D: Domain, z: np.ndarray, name: str,
     if jet is None:
         jet = maps.checked_jet(f, z, faults)
     if name == "ratio":
-        faults.flag(jet.f1 == 0, lambda i: SingularPointError(
-            f"f'({complex(z[i])}) = 0"))
+        maps.flag_critical(z, jet, faults)
         return np.abs(jet.f1) / maps.checked_image_delta(f, D, z, faults, jet)
     size, undefined = _SIZES[name]
     faults.flag(jet.f1 == 0, NotLocallyUnivalentError(undefined))
     return np.abs(size(jet))
 
 
+def checked_punctured_disk_ratio(z: np.ndarray, faults: Faults) -> np.ndarray:
+    """punctured_disk_ratio at every point of z, flagging in `faults` the
+    points outside the punctured disk."""
+    domains.checked_delta(domains.punctured_disk(), z, faults)
+    # hypot rounds |z| more closely than np.abs of a complex array does
+    r = np.hypot(z.real, z.imag)
+    return 2.0 * np.log(1.0 / r) / (1.0 - r)
+
+
 def punctured_disk_ratio(z: complex) -> float:
     """2 log(1/|z|) / (1 - |z|): the unbounded ratio witnessing that the
     simply-connected bounds fail on the punctured disk."""
-    r = abs(complex(z))
-    if not (0 < r < 1):
-        raise OutsideDomainError("need 0 < |z| < 1")
-    return 2.0 * math.log(1.0 / r) / (1.0 - r)
+    return float(at_point(checked_punctured_disk_ratio, z)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +291,12 @@ def check_pointwise_bounds(f: AnalyticMap | None, D: Domain,
     if bound.simply_connected and f is not None and not f.univalent:
         raise ValueError(f"kind/domain mismatch: {kind} needs a univalent map")
 
+    if Q is not None and not (math.isfinite(Q) and Q > 0):
+        raise ValueError(f"Q must be finite and positive, got {Q!r}")
+    for name, value in (constants_override or {}).items():
+        if not math.isfinite(value):
+            raise ValueError(f"override constant {name} = {value!r} is not "
+                             "finite")
     lo, hi = bound.lower, bound.upper
     if kind == "thm41":
         if Q is None:

@@ -176,8 +176,9 @@ def test_verify_json_lists_the_skipped_samples(capsys):
     assert (rep["samples_checked"], len(rep["skipped"])) == (26, 24)
     for skip in rep["skipped"]:
         x, y = skip["z"]
-        assert skip == {"z": [x, y], "reason": f"{complex(x, y)} outside "
-                                               "base domain of koebe"}
+        assert skip == {"z": [x, y], "reason": f"{complex(x, y)} is not an "
+                                               "interior point of "
+                                               "Domain(unit_disk)"}
 
 
 def test_verify_thm41_estimates_q(capsys):
@@ -222,7 +223,7 @@ def test_sweep_without_map_is_usage_error(capsys, quantity):
 @pytest.mark.parametrize("argv, message", [
     # the range ends on the base domain's boundary
     (("ratio", "--map", "koebe", "--from", "0", "--to", "1", "--steps", "11"),
-     "(1+0j) outside base domain of koebe"),
+     "(1+0j) is not an interior point of Domain(unit_disk)"),
     # z = 1 fails at its density, a later check than the f' = 0 of z = 0
     (("T", "--map", "power:2", "--from", "1", "--to", "0", "--steps", "3"),
      "(1+0j) is not an interior point of Domain(unit_disk)"),
@@ -339,12 +340,41 @@ def test_negative_complex_literals_are_values(capsys, argv, want):
       "--from", "0", "--to", "nan", "--steps", "3"], "nan"),
     (["sweep", "--quantity", "pdisk-ratio", "--domain", "pdisk",
       "--from", "1e400", "--to", "0.5", "--steps", "3"], "1e400"),
+    (["ratio", "--map", "power:inf", "--domain", "disk", "--at", "0.1"],
+     "inf"),
+    (["ratio", "--map", "mobius:nan,0", "--domain", "disk", "--at", "0.1"],
+     "nan"),
 ], ids=["density", "delta", "delta-koebe", "ratio", "distance-hyp",
-        "distance-qhyp", "sweep-to", "sweep-from"])
+        "distance-qhyp", "sweep-to", "sweep-from", "map-power", "map-mobius"])
 def test_non_finite_literals_are_usage_errors(capsys, argv, bad):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {bad!r} is not a finite number\n"
+
+
+def test_power_whose_jet_coefficients_overflow_is_a_usage_error(capsys):
+    # n(n - 1)(n - 2) is beyond the float range
+    code, out, err = run(capsys, "ratio", "--map", "power:1e300",
+                         "--domain", "disk", "--at", "0.1")
+    assert (code, out) == (2, "")
+    assert err == ("error: power exponent too large: its jet coefficients "
+                   "overflow\n")
+
+
+@pytest.mark.parametrize("option, message", [
+    (("--q", "nan"), "Q must be finite and positive, got nan"),
+    (("--q", "-1"), "Q must be finite and positive, got -1.0"),
+    (("--upper-constant", "nan"),
+     "override constant upper = nan is not finite"),
+], ids=["q-nan", "q-negative", "upper-nan"])
+def test_a_window_constant_that_is_not_a_number_is_a_usage_error(
+        capsys, option, message):
+    # such a window would pass, or fail, every sample vacuously
+    code, out, err = run(capsys, "verify", "--kind", "thm41", "--map",
+                         "koebe", "--domain", "disk", "--samples", "10",
+                         *option)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -362,8 +392,12 @@ def test_non_finite_literals_are_usage_errors(capsys, argv, bad):
     (["slit-disk", "--metric", "qhyp", "--from", "-0.5,0.1",
       "--to", "-0.5,-0.1", "--path-nodes", "2"],
      "path meets the boundary of the domain"),
+    # a chord that grazes the slit: its grading stops at its piece bound
+    (["slit-disk", "--metric", "qhyp", "--from", "-0.9,0.000001",
+      "--to", "-0.1,-0.000001", "--path-nodes", "2"],
+     "path meets the boundary of the domain"),
 ], ids=["hyp-outside", "qhyp-outside", "pdisk-chord", "koebe-chord",
-        "slit-disk-chord"])
+        "slit-disk-chord", "slit-disk-grazing-chord"])
 def test_distance_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, "distance", "--domain", *argv)
     assert (code, out) == (2, "")

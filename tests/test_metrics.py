@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,21 @@ def test_grade_bounds_every_piece(D, z1, z2):
         bound[kink] *= metrics._KINK_C
         assert np.all(np.abs(p[seg + 1] - p[seg]) * width
                       <= bound * (1 + 1e-9))
+
+
+def test_grade_of_a_grazing_chord_stops_at_its_piece_bound():
+    # the chord crosses the slit at a slope of 2.5e-5: its kink bounds ask
+    # for tens of millions of pieces before one reaches _MIN_WIDTH
+    p = np.array([-0.9 + 1e-5j, -0.1 - 1e-5j])
+    tracemalloc.start()
+    try:
+        grading, resolved = metrics._grade(slit_disk(0), p, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not resolved
+    assert len(grading[0]) <= metrics._GL_NODES.size * metrics._MAX_PIECES
+    assert peak < 100e6
 
 
 _S = math.sqrt(0.4)  # slit disk, Im u = 0.3: the side meets the circle

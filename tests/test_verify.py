@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import io
 import math
 import random
 from dataclasses import dataclass, replace
@@ -14,6 +16,7 @@ from conformal_metrics import (
     NoDensityRouteError,
     NotLocallyUnivalentError,
     OutsideDomainError,
+    Polyline,
     SampleSet,
     SingularPointError,
     boundary_distance,
@@ -30,22 +33,27 @@ from conformal_metrics import (
     hyperbolic_density,
     hyperbolic_distance,
     identity_map,
+    image_boundary_distance,
     koebe_map,
     koebe_slit_plane,
     log_slit_map,
     log_strip,
     mobius_map,
+    path_quadrature,
     power_map,
     pre_schwarzian,
     punctured_disk,
     punctured_disk_covering_map,
     punctured_disk_ratio,
+    pushforward_density,
+    quasihyperbolic_distance,
     schwarzian,
     slit_disk,
     unit_disk,
     upper_half_plane,
 )
 from conformal_metrics import domains, maps, make_catalog_map
+from conformal_metrics.cli import main
 from conformal_metrics.errors import Faults, at_point
 from conformal_metrics.verify import quantity
 from helpers import lambda_lower_violation_witness, random_map_pair
@@ -131,7 +139,7 @@ def test_at_point_over_an_array_gives_the_scalar_values():
     # later, at univalence
     (punctured_disk_covering_map(), unit_disk(), [2.0, 0.5],
      OutsideDomainError,
-     "(2+0j) outside base domain of punctured_disk_covering"),
+     "(2+0j) is not an interior point of Domain(unit_disk)"),
     # 0.5 fails at univalence, 0 at the earlier f' = 0
     (power_map(2), unit_disk(), [0.5, 0j], MapNotUnivalentError,
      "power is not univalent"),
@@ -151,6 +159,59 @@ def test_at_point_raises_the_first_failing_points_error(f, D, points, error,
         for z in points:
             distortion_ratio(f, D, z)
     assert str(exc.value) == message
+
+
+def _sweep_pdisk_ratio(z):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["sweep", "--quantity", "pdisk-ratio", "--domain",
+                     "pdisk", "--from", str(z.real), "--to", "0.5",
+                     "--steps", "2"])
+    assert code == 2
+    raise OutsideDomainError(err.getvalue().removeprefix("error: ")
+                             .removesuffix("\n"))
+
+
+# (entry point at z, the domain z is tested against)
+_OUTSIDE_POINT_ENTRIES = {
+    "boundary_distance": (lambda z: boundary_distance(unit_disk(), z),
+                          unit_disk()),
+    "hyperbolic_density": (lambda z: hyperbolic_density(unit_disk(), z),
+                           unit_disk()),
+    "pushforward_density": (
+        lambda z: pushforward_density(koebe_map(), unit_disk(), z),
+        unit_disk()),
+    "eval_jet": (lambda z: maps.eval_jet(koebe_map(), z), unit_disk()),
+    "image_boundary_distance": (
+        lambda z: image_boundary_distance(koebe_map(), unit_disk(), z),
+        unit_disk()),
+    "distortion_ratio": (
+        lambda z: distortion_ratio(identity_map(), unit_disk(), z),
+        unit_disk()),
+    "distortion_ratio-pdc": (
+        lambda z: distortion_ratio(punctured_disk_covering_map(),
+                                   unit_disk(), z), unit_disk()),
+    "hyperbolic_distance": (
+        lambda z: hyperbolic_distance(punctured_disk(), z, 0.5),
+        punctured_disk()),
+    "quasihyperbolic_distance": (
+        lambda z: quasihyperbolic_distance(punctured_disk(), 0.5, z),
+        punctured_disk()),
+    "path_quadrature": (
+        lambda z: path_quadrature("quasihyperbolic", punctured_disk(),
+                                  Polyline([0.5, 0.9, z, -0.5])),
+        punctured_disk()),
+    "punctured_disk_ratio": (punctured_disk_ratio, punctured_disk()),
+    "cli-sweep-pdisk-ratio": (_sweep_pdisk_ratio, punctured_disk()),
+}
+
+
+@pytest.mark.parametrize("name", list(_OUTSIDE_POINT_ENTRIES))
+def test_an_outside_point_reads_the_same_on_every_entry_point(name):
+    call, D = _OUTSIDE_POINT_ENTRIES[name]
+    with pytest.raises(OutsideDomainError) as exc:
+        call(2.0)
+    assert str(exc.value) == f"(2+0j) is not an interior point of {D}"
 
 
 def test_punctured_disk_ratio_values():
@@ -672,11 +733,14 @@ def test_batch_engine_matches_per_sample_loop(case):
 
 
 def test_parity_cases_reach_every_kind_and_skip_reason():
-    reasons = set()
+    reasons, off_disk = set(), set()
     for case in PARITY_CASES:
         rep, _ = _run_parity(case)
-        reasons |= {s["reason"].split(" ")[-1] if "interior" in s["reason"]
-                    else s["reason"] for s in rep.skipped}
+        names = {s["reason"].split(" ")[-1] if "interior" in s["reason"]
+                 else s["reason"] for s in rep.skipped}
+        reasons |= names
+        if case[2] != unit_disk():
+            off_disk |= names
     assert {c[0] for c in PARITY_CASES} == set(BOUND_KINDS)
     assert {"Domain(unit_disk)", "Domain(koebe_slit_plane)",
             "Domain(upper_half_plane)", "Domain(punctured_disk)",
@@ -685,7 +749,8 @@ def test_parity_cases_reach_every_kind_and_skip_reason():
             "pre-Schwarzian undefined: f' = 0",
             "Schwarzian undefined: f' = 0",
             f"f'({complex(_MINUS_ONE_PLUS)}) = 0"} <= reasons
-    assert any("outside base domain of koebe" in r for r in reasons)
+    # the jet's check of koebe's base domain, on half-plane samples
+    assert "Domain(unit_disk)" in off_disk
 
 
 @pytest.mark.parametrize("case", ABORT_CASES,
