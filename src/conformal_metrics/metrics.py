@@ -44,6 +44,9 @@ _KINK_C = 1e-4
 _FANOUT = 4
 _MIN_WIDTH = 2.0 ** -60
 _MAX_PIECES = 2 ** 18
+# a piece over its bound by a factor of at most _SPLITS[i] splits into
+# 2**(i + 1) parts, one over it by more into 2**_FANOUT
+_SPLITS = 2.0 ** np.arange(1, _FANOUT)
 # The relaxation moves a node by at most _RELAX_STEP times its delta per
 # iteration; its quasi-Newton update keeps the last _MEMORY pairs.
 _RELAX_STEP = 0.25
@@ -57,6 +60,9 @@ class Polyline:
     points: tuple
 
     def __init__(self, points):
+        if isinstance(points, np.ndarray):
+            # Python complexes, not one numpy scalar a point
+            points = points.tolist()
         pts = tuple(complex(p) for p in points)
         if len(pts) < 2:
             raise ValueError("a polyline needs at least 2 points")
@@ -108,20 +114,32 @@ def _least_piece(D: Domain, z: np.ndarray):
     return d, label
 
 
-def _scale(D: Domain, z: np.ndarray) -> np.ndarray:
-    """Rows: the radius about z on which 1/delta is analytic, at least
-    _KINK_C delta (Kind.radius), and the index of the piece of delta's
-    closed form that is least at z (_least_piece)."""
+def _scale(D: Domain, z: np.ndarray):
+    """The radius about each point of z on which 1/delta is analytic, at
+    least _KINK_C delta (Kind.radius), and the index of the piece of delta's
+    closed form that is least there (_least_piece): an int array, or the
+    int 0 where delta has one piece."""
     kind = domains.entry(D)
     d, label = _least_piece(D, z)
-    out = np.empty((2,) + d.shape)
-    out[0] = (d if kind.radius is None
-              else np.maximum(kind.radius(z, *D.params), _KINK_C * d))
-    out[1] = label
-    return out
+    if kind.radius is not None:
+        d = np.maximum(kind.radius(z, *D.params), _KINK_C * d)
+    return d, label
 
 
-def _grade(D: Domain, p: np.ndarray, c: float):
+def _ends(at_lo, at_hi, at_new, parent, inner):
+    """A quantity at the low ends, high ends and midpoints of parts cut
+    from pieces.  at_lo and at_hi hold it at the pieces' ends, and parent is
+    the piece of each part; inner lists the parts that start inside their
+    piece, and at_new holds the quantity at their starts, then at every
+    part's midpoint.  A part that starts or ends its piece takes the piece's
+    value there."""
+    k = len(inner)
+    at_lo, at_hi = at_lo[parent], at_hi[parent]
+    at_lo[inner] = at_hi[inner - 1] = at_new[:k]
+    return at_lo, at_hi, at_new[k:]
+
+
+def _grade(D: Domain, p: np.ndarray, c: float, pieces=None):
     """Composite GL4 rule for the segments p[i] -> p[i + 1], graded so that
     the node count follows length / delta.
 
@@ -134,81 +152,106 @@ def _grade(D: Domain, p: np.ndarray, c: float):
     over its bound by a factor q splits into 2**ceil(log2 q) equal parts,
     at most 2**_FANOUT, so a deep grading takes few rounds.
 
-    Returns ((t, w, seg, starts), resolved): the nodes t and weights w in the
-    segment parameter s in [0, 1], the segment of each node and the first
-    node of each segment, in order; and False when a piece still fails its
-    bound at _MIN_WIDTH, as one does where a segment meets the boundary, or
-    when splitting would make more than _MAX_PIECES pieces, as a segment
-    that grazes the boundary asks for.
+    The split starts from the whole segments, or from `pieces`, pieces that
+    tile p's segments in order as _grade returns them, so that a grading at
+    a smaller c, or of a path whose nodes moved a little, refines an earlier
+    one: _scale is then evaluated once on all their ends and midpoints, and
+    the result is never coarser than `pieces`.
+
+    Returns (rule, resolved, pieces).  rule = (t, w, seg, starts): the
+    nodes t and weights w in the segment parameter s in [0, 1], the segment
+    of each node and the first node of each segment, in order.  resolved is
+    False when a piece still fails its bound at _MIN_WIDTH, as one does
+    where a segment meets the boundary, or when splitting would make more
+    than _MAX_PIECES pieces, as a segment that grazes the boundary asks
+    for.  pieces = (seg, lo, width): each piece's segment, and its start
+    and width in s, in order; a piece that starts its segment has lo = 0.
     """
     n = len(p) - 1
-    a, step = p[:-1], np.diff(p)
+    a = p[:-1]
+    step = p[1:] - a
     length = np.abs(step)
-    seg = np.arange(n)
-    lo, width = np.zeros(n), np.ones(n)
-    at = _scale(D, np.concatenate([p, a + 0.5 * step]))
-    at_lo, at_hi, at_mid = at[:, :n], at[:, 1:n + 1], at[:, n + 1:]
+    seg, lo, width = _whole_segments(n)[1] if pieces is None else pieces
+    # _scale at the nodes, then at the pieces' inner ends and midpoints: the
+    # pieces are parts cut from the whole segments
+    inner = lo.nonzero()[0]
+    on = np.concatenate([seg[inner], seg])
+    r, label = _scale(D, np.concatenate([p, a[on] + step[on] * np.concatenate(
+        [lo[inner], lo + 0.5 * width])]))
+    r_lo, r_hi, r_mid = _ends(r[:n], r[1:n + 1], r[n + 1:], seg, inner)
+    labelled = np.ndim(label) > 0
+    if labelled:
+        l_lo, l_hi, l_mid = _ends(label[:n], label[1:n + 1], label[n + 1:],
+                                  seg, inner)
     done = []
     finished = 0  # pieces in done
     resolved = False
     while True:
-        bound = c * np.minimum(np.minimum(at_lo[0], at_hi[0]), at_mid[0])
-        bound[(at_lo[1] != at_mid[1]) | (at_mid[1] != at_hi[1])] *= _KINK_C
+        bound = np.minimum(r_lo, r_hi)
+        np.minimum(bound, r_mid, out=bound)
+        bound *= c
+        if labelled:
+            kink = l_lo != l_mid
+            kink |= l_mid != l_hi
+            np.multiply(bound, _KINK_C, out=bound, where=kink)
         # over its bound by this factor; inf where delta is not positive
         over = np.divide(length[seg] * width, bound,
                          out=np.full(len(seg), np.inf), where=bound > 0)
-        split = over > 1.0
-        if not split.any():
+        big = over > 1.0
+        split = big.nonzero()[0]
+        if not split.size:
             resolved = True
             break
         if width[split].min() <= _MIN_WIDTH:
             break
-        parts = 2 ** np.clip(np.ceil(np.log2(over[split])), 1, _FANOUT)
-        parts = parts.astype(int)
-        finished += len(seg) - len(parts)
-        if finished + int(parts.sum()) > _MAX_PIECES:
+        # 2 ** ceil(log2 over), between 2 and 2 ** _FANOUT
+        parts = 2 << _SPLITS.searchsorted(over[split])
+        ends = parts.cumsum()
+        finished += len(seg) - len(split)
+        if finished + int(ends[-1]) > _MAX_PIECES:
             break
-        done.append((seg[~split], lo[~split], width[~split]))
-        first = np.cumsum(parts) - parts
-        at_first, at_last = at_lo[:, split], at_hi[:, split]
-        seg = np.repeat(seg[split], parts)
-        width = np.repeat(width[split] / parts, parts)
-        j = np.arange(len(seg)) - np.repeat(first, parts)
-        lo = np.repeat(lo[split], parts) + j * width
-        inner = j > 0
-        # the parts' inner ends, then their midpoints
+        kept = ~big
+        done.append((seg[kept], lo[kept], width[kept]))
+        # each part's piece, and its index among that piece's parts
+        parent = split.repeat(parts)
+        j = np.arange(len(parent)) - (ends - parts).repeat(parts)
+        seg = seg[parent]
+        width = width[parent] / parts.repeat(parts)
+        lo = lo[parent] + j * width
+        inner = j.nonzero()[0]
+        # _scale at the parts' inner ends, then at their midpoints
         on = np.concatenate([seg[inner], seg])
-        at = _scale(D, a[on] + step[on] * np.concatenate([lo[inner],
-                                                          lo + 0.5 * width]))
-        k = int(np.count_nonzero(inner))
-        at_lo = np.empty((2, len(seg)))
-        at_lo[:, ~inner], at_lo[:, inner] = at_first, at[:, :k]
-        at_mid = at[:, k:]
-        at_hi = np.empty_like(at_lo)
-        at_hi[:, :-1] = at_lo[:, 1:]
-        at_hi[:, first + parts - 1] = at_last
-    if not done:
-        return _whole_segments(n), resolved
-    done.append((seg, lo, width))
-    seg, lo, width = (np.concatenate(x) for x in zip(*done))
-    order = np.lexsort((lo, seg))
-    seg, lo, width = seg[order], lo[order], width[order]
+        r, label = _scale(D, a[on] + step[on] * np.concatenate(
+            [lo[inner], lo + 0.5 * width]))
+        r_lo, r_hi, r_mid = _ends(r_lo, r_hi, r, parent, inner)
+        if labelled:
+            l_lo, l_hi, l_mid = _ends(l_lo, l_hi, label, parent, inner)
+    if done:
+        done.append((seg, lo, width))
+        seg, lo, width = (np.concatenate(x) for x in zip(*done))
+        order = np.lexsort((lo, seg))
+        seg, lo, width = seg[order], lo[order], width[order]
+    elif pieces is None:
+        rule, pieces = _whole_segments(n)
+        return rule, resolved, pieces
     t = (lo[:, None] + width[:, None] * _GL_NODES).ravel()
     w = (width[:, None] * _GL_WEIGHTS).ravel()
-    starts = _GL_NODES.size * np.searchsorted(seg, np.arange(n))
-    return (t, w, np.repeat(seg, _GL_NODES.size), starts), resolved
+    starts = _GL_NODES.size * seg.searchsorted(np.arange(n))
+    return ((t, w, seg.repeat(_GL_NODES.size), starts), resolved,
+            (seg, lo, width))
 
 
 @functools.lru_cache(maxsize=8)
 def _whole_segments(n: int):
-    """_grade's rule when no segment splits: GL4 on each of n segments;
-    read-only, as every caller shares it."""
+    """_grade's rule and pieces when no segment splits: GL4 on each of n
+    segments; read-only, as every caller shares them."""
     rule = (np.tile(_GL_NODES, n), np.tile(_GL_WEIGHTS, n),
             np.repeat(np.arange(n), _GL_NODES.size),
             _GL_NODES.size * np.arange(n))
-    for arr in rule:
+    pieces = (np.arange(n), np.zeros(n), np.ones(n))
+    for arr in rule + pieces:
         arr.flags.writeable = False
-    return rule
+    return rule, pieces
 
 
 def _segment_costs(weight, a: np.ndarray, b: np.ndarray,
@@ -234,7 +277,8 @@ def _node_gradient(D: Domain, p: np.ndarray, grading):
     sums: the exact gradient of the discrete functional on this grading.
     """
     t, w, seg, starts = grading
-    a, step = p[:-1], np.diff(p)
+    a = p[:-1]
+    step = p[1:] - a
     z = a[seg] + step[seg] * t
     d, label = _least_piece(D, z)
     slope, *rest = domains.entry(D).slopes(z, *D.params)
@@ -253,20 +297,23 @@ def _node_gradient(D: Domain, p: np.ndarray, grading):
 
 
 def path_quadrature(density: str, D: Domain, path: Polyline,
-                    tol: float = 1e-10) -> float:
+                    tol: float = 1e-10, *, pieces=None) -> float:
     """Integral of the selected density along the polyline.
 
     GL4 on the pieces of _grade at c = _PIECE_C / 4, a quarter of the
     relaxation's bound.  The rule at twice that bound estimates the error:
     QuadratureError when the two differ by more than `tol` relative
-    (absolute below 1), so an unconverged value is never returned.
+    (absolute below 1), so an unconverged value is never returned.  The
+    rule at _PIECE_C / 2 refines `pieces`, those of a grading of the same
+    path as _grade returns them (the solver passes its relaxation's), or
+    the whole segments; the rule at _PIECE_C / 4 refines that one.
     """
     weight = _weight_fn(density, D)
     p = path.as_array()
     at_point(domains.checked_delta, D, p)
     values = []
     for c in (0.5 * _PIECE_C, 0.25 * _PIECE_C):
-        grading, resolved = _grade(D, p, c)
+        grading, resolved, pieces = _grade(D, p, c, pieces)
         if not resolved:
             raise OutsideDomainError("path meets the boundary of the domain")
         values.append(float(np.sum(
@@ -418,9 +465,11 @@ def _lbfgs_direction(k: np.ndarray, grad: np.ndarray, memory) -> np.ndarray:
 
 
 def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
-    """Monotone L-BFGS descent on the quadrature functional.
+    """Monotone L-BFGS descent on the quadrature functional; returns the
+    relaxed path, the objective history and the pieces of the path's
+    grading (_grade), for the final quadrature to refine.
 
-    Each path is costed on its own grading (_grade), and an accepted path's
+    Each path is costed on its own grading, and an accepted path's
     gradient is the exact one of the functional on that grading
     (_node_gradient), computed once.  The direction is the limited-memory
     quasi-Newton one (_lbfgs_direction) over the last _MEMORY pairs of node
@@ -436,16 +485,18 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
     that gain is the size of the preconditioned gradient.  When the descent
     stops, the path re-spaced to equal arc length takes over, once, if it
     costs less, with an empty memory.  So the recorded history is
-    non-increasing by construction.
+    non-increasing by construction.  A line-search trial is graded from
+    scratch; the re-spaced path, whose node i moved only a little along the
+    path, refines the grading of the path it re-spaces.
     """
     weight = _weight_fn("quasihyperbolic", D)
 
-    def cost(q):
-        grading, resolved = _grade(D, q, _PIECE_C)
-        return grading, resolved, float(np.sum(
+    def cost(q, pieces=None):
+        grading, resolved, pieces = _grade(D, q, _PIECE_C, pieces)
+        return grading, resolved, pieces, float(np.sum(
             _segment_costs(weight, q[:-1], q[1:], grading)))
 
-    grading, resolved = _grade(D, p, _PIECE_C)
+    grading, resolved, pieces = _grade(D, p, _PIECE_C)
     if not resolved:
         raise OutsideDomainError("path meets the boundary of the domain")
     c_cur, grad = _node_gradient(D, p, grading)
@@ -460,7 +511,8 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
         if not np.any(np.abs(grad) > 0):
             break
         # spring constants: mean weight on each segment over its length
-        g = _lbfgs_direction(c_cur / np.abs(np.diff(p)) ** 2, grad, memory)
+        g = _lbfgs_direction(c_cur / np.abs(p[1:] - p[:-1]) ** 2, grad,
+                             memory)
         # the step is g times min(lr, reach): at reach the node nearest its
         # cap meets it
         cap, mag = _RELAX_STEP * domains.delta_vec(D, p[1:-1]), np.abs(g)
@@ -476,12 +528,12 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
             trial = p.copy()
             trial[1:-1] = p[1:-1] + disp
             if np.all(domains.delta_vec(D, trial[1:-1]) > 1e-12):
-                grading_new, resolved, f_new = cost(trial)
+                grading_new, resolved, pieces_new, f_new = cost(trial)
                 if resolved and f_new < f_cur:
                     c_cur, grad_new = _node_gradient(D, trial, grading_new)
                     memory = _remember(memory, trial[1:-1] - p[1:-1],
                                        grad_new - grad)
-                    p, grad, f_cur = trial, grad_new, f_new
+                    p, grad, f_cur, pieces = trial, grad_new, f_new, pieces_new
                     moved = True
                     lr = min(lr * 1.5, 1.0)
                     break
@@ -497,25 +549,28 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
             break
         respaced = True
         q = _resample(p, len(p))
-        grading_q, resolved, f_q = cost(q)
+        # segment i of q lies near segment i of p: its grading refines p's
+        grading_q, resolved, pieces_q, f_q = cost(
+            q, pieces if len(q) == len(p) else None)
         if not (resolved and f_q < f_cur):
             break
-        p, f_cur = q, f_q
+        p, f_cur, pieces = q, f_q, pieces_q
         c_cur, grad = _node_gradient(D, p, grading_q)
         history.append(f_cur)
         lr = 1.0
         memory = []
-    return p, history
+    return p, history, pieces
 
 
 def _solve(D: Domain, z1: complex, z2: complex, w1: complex, w2: complex,
            cfg: SolverConfig):
     """(k, path, history) relaxed from the geodesic start between the lifts
     w1 and w2."""
-    p, history = _relax(D, _geodesic_start(D, z1, z2, w1, w2,
-                                           cfg.path_nodes), cfg)
+    p, history, pieces = _relax(D, _geodesic_start(D, z1, z2, w1, w2,
+                                                   cfg.path_nodes), cfg)
     poly = Polyline(p)
-    return path_quadrature("quasihyperbolic", D, poly), poly, history
+    return (path_quadrature("quasihyperbolic", D, poly, pieces=pieces), poly,
+            history)
 
 
 def _lifts(D: Domain, z1: complex, z2: complex) -> list:

@@ -182,6 +182,7 @@ def grid_solve(D, z1: complex, z2: complex, n: int = 200,
     cfg = cfg or SolverConfig()
     start = metrics._resample(grid_dijkstra(D, complex(z1), complex(z2), n),
                               cfg.path_nodes)
-    p, history = metrics._relax(D, start, cfg)
+    p, history, pieces = metrics._relax(D, start, cfg)
     poly = Polyline(p)
-    return metrics.path_quadrature("quasihyperbolic", D, poly), poly, history
+    return (metrics.path_quadrature("quasihyperbolic", D, poly,
+                                    pieces=pieces), poly, history)
