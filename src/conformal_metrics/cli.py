@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import domains, maps, metrics, verify
+from . import domains
 from .domains import Domain
 from .errors import ConformalMetricsError, at_point, parse_finite
 
@@ -59,7 +59,9 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _sample_set(args) -> verify.SampleSet:
+def _sample_set(args):
+    from . import verify
+
     return verify.SampleSet(seed=args.seed, count=args.samples,
                             strategy=args.strategy, eps=args.eps)
 
@@ -86,6 +88,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
+    from . import maps, verify
+
     r = verify.distortion_ratio(maps.parse_map_spec(args.map),
                                 parse_domain_spec(args.domain),
                                 parse_complex(args.at))
@@ -93,37 +97,48 @@ def _cmd_ratio(args) -> int:
     return 0
 
 
-# option dest -> SolverConfig field; each option defaults to its field
+# option dest -> (SolverConfig field, option type); an option not given
+# leaves its field at the SolverConfig default
 _SOLVER_OPTIONS = {
-    "relax_iterations": "relax_iterations",
-    "path_nodes": "path_nodes",
-    "solver_tolerance": "tolerance",
+    "relax_iterations": ("relax_iterations", int),
+    "path_nodes": ("path_nodes", int),
+    "solver_tolerance": ("tolerance", float),
 }
 
 
-def _solver_config(args) -> metrics.SolverConfig:
-    return metrics.SolverConfig(**{field: getattr(args, dest)
-                                   for dest, field in _SOLVER_OPTIONS.items()})
+def _solver_config(args):
+    from .metrics import SolverConfig
+
+    return SolverConfig(**{field: getattr(args, dest)
+                           for dest, (field, _) in _SOLVER_OPTIONS.items()
+                           if getattr(args, dest) is not None})
 
 
 def _cmd_distance(args) -> int:
+    from . import metrics
+
     D = parse_domain_spec(args.domain)
     z1, z2 = parse_complex(getattr(args, "from")), parse_complex(args.to)
     if args.metric == "hyp":
         _emit(f"{metrics.hyperbolic_distance(D, z1, z2):.9f}\n", args.out)
         return 0
-    cfg = _solver_config(args)
-    d, geo = metrics.quasihyperbolic_distance(D, z1, z2, cfg)
+    d, geo = metrics.quasihyperbolic_distance(D, z1, z2, _solver_config(args))
     if geo is not None:
         # Round the geodesic to the CSV precision first so that
         # re-quadrature of the exported file reproduces the printed value.
+        # A geodesic that the rounding collapses to one point keeps the
+        # solver's value, and has no CSV to export.
         pts = [complex(_round9(p.real), _round9(p.imag)) for p in geo.points]
         dedup = [pts[0]]
         for p in pts[1:]:
             if p != dedup[-1]:
                 dedup.append(p)
-        geo = metrics.Polyline(dedup)
-        d = metrics.path_quadrature("quasihyperbolic", D, geo)
+        if len(dedup) > 1:
+            geo = metrics.Polyline(dedup)
+            d = metrics.path_quadrature("quasihyperbolic", D, geo)
+        elif args.geodesic_out:
+            raise ValueError("the geodesic is below the precision of the "
+                             "--geodesic-out CSV, 9 significant digits")
         if args.geodesic_out:
             rows = ["x,y"] + [f"{_fmt9(p.real)},{_fmt9(p.imag)}"
                               for p in geo.points]
@@ -135,6 +150,12 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import maps, verify
+
+    if args.kind not in verify.BOUND_KINDS:
+        choices = ", ".join(map(repr, verify.BOUND_KINDS))
+        args.usage_error(f"argument --kind: invalid choice: {args.kind!r} "
+                         f"(choose from {choices})")
     D = parse_domain_spec(args.domain)
     samples = _sample_set(args)
     f = maps.parse_map_spec(args.map) if args.map else None
@@ -160,11 +181,15 @@ _SWEEP_BOUNDS = {"ratio": ("thm21", 1), "T": ("osgood_T", 1),
 
 
 def _quantity_and_density(f, D, z, faults, name):
+    from . import verify
+
     return (verify.quantity(f, D, z, name, faults),
             domains.checked_density(D, z, faults))
 
 
 def _cmd_sweep(args) -> int:
+    from . import maps, verify
+
     D = parse_domain_spec(args.domain)
     f = maps.parse_map_spec(args.map) if args.map else None
     if f is None and args.quantity != "pdisk-ratio":
@@ -187,6 +212,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_uniformity(args) -> int:
+    from . import verify
+
     q = verify.estimate_uniformity_constant(parse_domain_spec(args.domain),
                                             _sample_set(args))
     _emit(f"{q:.9f}\n", args.out)
@@ -206,10 +233,8 @@ def _add_sample_args(p, default_count=1000):
 
 
 def _add_solver_args(p):
-    for dest, field in _SOLVER_OPTIONS.items():
-        default = getattr(metrics.SolverConfig, field)
-        p.add_argument("--" + dest.replace("_", "-"), type=type(default),
-                       default=default)
+    for dest, (_, kind) in _SOLVER_OPTIONS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=kind, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one bound check, emit BoundReport "
                                       "JSON; exit 1 on violations")
-    p.add_argument("--kind", required=True, choices=list(verify.BOUND_KINDS))
+    # checked against verify.BOUND_KINDS in _cmd_verify, which imports verify
+    p.add_argument("--kind", required=True, metavar="KIND")
     p.add_argument("--map")
     p.add_argument("--domain", required=True)
     p.add_argument("--q", type=float, default=None,
@@ -262,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="diagnostic override of the upper bound constant")
     p.add_argument("--out")
     _add_sample_args(p)
-    p.set_defaults(fn=_cmd_verify)
+    p.set_defaults(fn=_cmd_verify, usage_error=p.error)
 
     p = sub.add_parser("sweep", help="CSV sweep of a quantity along a "
                                      "radial parameter range")

@@ -286,10 +286,34 @@ def checked_jet(f: AnalyticMap, z: np.ndarray, faults: Faults) -> JetArray:
     return _jet_formula(f, z, faults)
 
 
-def flag_critical(z: np.ndarray, jet: JetArray, faults: Faults):
-    """Flag in `faults` the points of z where the jet's f' is 0."""
-    faults.flag(jet.f1 == 0, lambda i: SingularPointError(
-        f"f'({complex(z.flat[i])}) = 0"))
+def _critical(f: AnalyticMap, z: np.ndarray) -> np.ndarray:
+    """Where f' has a zero: at z = 0 for a power n >= 2, at z = -1 for
+    koebe, and for f o g where g' has one or g(z) is one of f'.  A 0 in a
+    jet's f' anywhere else is a nonzero value below the float range."""
+    if f.kind == "composite":
+        outer, inner = f.factors
+        with np.errstate(all="ignore"):
+            gz = _jet_formula(inner, z, Faults(z.shape)).f0
+        return _critical(inner, z) | _critical(outer, gz)
+    if f.kind == "power" and f.params[0] >= 2:
+        return z == 0
+    if f.kind == "koebe":
+        return z == -1
+    return np.zeros(z.shape, dtype=bool)
+
+
+def flag_critical(f: AnalyticMap, z: np.ndarray, jet: JetArray,
+                  faults: Faults):
+    """Flag in `faults` the points of z where the jet's f' is 0: a zero of
+    f', or a nonzero f' below the float range."""
+    def error(i):
+        w = z.flat[i:i + 1]
+        if _critical(f, w)[0]:
+            return SingularPointError(f"f'({complex(w[0])}) = 0")
+        return SingularPointError(f"f'({complex(w[0])}) is nonzero but "
+                                  "below the float range")
+
+    faults.flag(jet.f1 == 0, error)
 
 
 def eval_jet(f: AnalyticMap, z: complex) -> Jet3:
@@ -337,7 +361,7 @@ def checked_pushforward_density(f: AnalyticMap, base: Domain, z: np.ndarray,
     point: the density's errors, the jet's, then f' = 0."""
     lam = domains.checked_density(base, z, faults)
     jet = checked_jet(f, z, faults)
-    flag_critical(z, jet, faults)
+    flag_critical(f, z, jet, faults)
     # hypot rounds |f'| more closely than np.abs of a complex array does
     return lam / np.hypot(jet.f1.real, jet.f1.imag)
 

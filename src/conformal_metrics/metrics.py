@@ -391,7 +391,10 @@ def _geodesic_start(D: Domain, z1: complex, z2: complex, w1: complex,
 
 def _resample(p: np.ndarray, m: int) -> np.ndarray:
     """m points at equal arc length along the polyline p; the node i lies on
-    the first segment whose end is not short of its target."""
+    the first segment whose end is not short of its target.  A node within
+    1e-15 of the one before it is dropped; if that would drop the end, the
+    end stays and the inner nodes within 1e-15 of it go instead, so that a
+    very short path keeps both its ends."""
     seg = np.abs(np.diff(p))
     s = np.concatenate([[0.0], np.cumsum(seg)])
     if s[-1] == 0:
@@ -403,6 +406,9 @@ def _resample(p: np.ndarray, m: int) -> np.ndarray:
     out = p[j] + frac * (p[j + 1] - p[j])
     out[0], out[-1] = p[0], p[-1]
     keep = np.concatenate([[True], np.abs(np.diff(out)) > 1e-15])
+    if not keep[-1]:
+        keep[-1] = True
+        keep[1:-1] &= np.abs(out[1:-1] - out[-1]) > 1e-15
     return out[keep]
 
 

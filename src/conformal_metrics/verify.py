@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import domains, jets, maps, metrics
+from . import domains, jets, maps
 from .domains import Domain
 from .errors import (
     ConformalMetricsError,
@@ -205,7 +205,7 @@ def quantity(f: AnalyticMap, D: Domain, z: np.ndarray, name: str,
     if jet is None:
         jet = maps.checked_jet(f, z, faults)
     if name == "ratio":
-        maps.flag_critical(z, jet, faults)
+        maps.flag_critical(f, z, jet, faults)
         return np.abs(jet.f1) / maps.checked_image_delta(f, D, z, faults, jet)
     size, undefined = _SIZES[name]
     faults.flag(jet.f1 == 0, NotLocallyUnivalentError(undefined))
@@ -369,9 +369,12 @@ def _evaluate(f, D, z, kind, faults):
 # distance comparison (quasihyperbolic vs hyperbolic)
 
 def check_distance_comparison(f: AnalyticMap, pre_pairs,
-                              cfg: metrics.SolverConfig | None = None) -> BoundReport:
+                              cfg=None) -> BoundReport:
     """k_{f(D)}(f(z1), f(z2)) / h_D(z1, z2) against thm21's window [1, 4]:
-    integrating lambda <= 1/delta <= 4 lambda gives h <= k <= 4h."""
+    integrating lambda <= 1/delta <= 4 lambda gives h <= k <= 4h.  cfg is
+    the solver's metrics.SolverConfig, its defaults when None."""
+    from . import metrics  # only this check runs the solver
+
     cfg = cfg or metrics.SolverConfig()
     if f.image_domain is None:
         raise ValueError("distance comparison needs a closed-form image domain")

@@ -10,6 +10,7 @@ import pytest
 
 from conformal_metrics import (
     Polyline,
+    metrics,
     path_quadrature,
     punctured_disk,
     slit_disk,
@@ -131,6 +132,20 @@ def test_distance_qhyp_and_geodesic_round_trip(tmp_path, capsys):
     requad = path_quadrature("quasihyperbolic", punctured_disk(),
                              Polyline(pts))
     assert abs(requad - printed) <= 1e-9
+
+
+def test_distance_qhyp_below_the_csv_precision(tmp_path, capsys):
+    # 9 significant digits round the whole geodesic onto 0.3: k is the
+    # solver's, and there is no CSV to export
+    argv = ["distance", "--domain", "disk", "--metric", "qhyp",
+            "--from", "0.3", "--to", "0.3000000001"]
+    assert run(capsys, *argv) == (0, "0.000000000\n", "")
+    path = tmp_path / "geo.csv"
+    code, out, err = run(capsys, *argv, "--geodesic-out", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: the geodesic is below the precision of the "
+                   "--geodesic-out CSV, 9 significant digits\n")
+    assert not path.exists()
 
 
 def test_distance_qhyp_round_the_slit_tip(capsys):
@@ -296,6 +311,32 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_unknown_bound_kind_is_argparses_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--kind", "nosuch", "--map", "koebe",
+              "--domain", "disk"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: conformal-metrics verify [-h] --kind KIND")
+    assert err.endswith(
+        "conformal-metrics verify: error: argument --kind: invalid choice: "
+        "'nosuch' (choose from 'thm21', 'lemma31', 'lambda_delta', "
+        "'koebe_distortion', 'osgood_T', 'osgood_T_delta', 'lehto_S', "
+        "'gehring_S', 'thm41', 'cor43')\n")
+
+
+def test_solver_options_left_out_keep_the_config_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setattr(metrics, "quasihyperbolic_distance",
+                        lambda D, z1, z2, cfg: seen.append(cfg) or (0.0, None))
+    argv = ["distance", "--domain", "disk", "--metric", "qhyp",
+            "--from", "0", "--to", "0.5"]
+    assert main(argv) == 0
+    assert main(argv + ["--path-nodes", "64", "--solver-tolerance", "1e-5"]) == 0
+    assert seen == [metrics.SolverConfig(),
+                    metrics.SolverConfig(path_nodes=64, tolerance=1e-5)]
+
+
 def test_boundary_samples_option_is_rejected(capsys):
     for argv in (["ratio", "--map", "koebe", "--domain", "disk", "--at", "0"],
                  ["verify", "--kind", "thm21", "--map", "koebe",
@@ -350,6 +391,17 @@ def test_non_finite_literals_are_usage_errors(capsys, argv, bad):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {bad!r} is not a finite number\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--map", "power:400", "--at", "0.1"],
+     "f'((0.1+0j)) is nonzero but below the float range"),
+    (["--map", "power:2", "--at", "0"], "f'(0j) = 0"),
+])
+def test_ratio_tells_an_underflowed_f_prime_from_a_zero(capsys, argv,
+                                                         message):
+    assert run(capsys, "ratio", "--domain", "disk", *argv) == (
+        2, "", f"error: {message}\n")
 
 
 def test_power_whose_jet_coefficients_overflow_is_a_usage_error(capsys):
@@ -453,3 +505,26 @@ def test_scipy_is_never_loaded():
     assert proc.returncode == 0, proc.stderr
     k = proc.stdout.split()[0]
     assert float(k) == pytest.approx(math.log(2), rel=1e-6)
+
+
+_LOADED = """
+import sys
+from conformal_metrics import cli
+assert cli.main(sys.argv[1].split()) == 0
+print(*sorted(m for m in sys.modules if m.startswith("conformal_metrics.")))
+"""
+_BASE = {"cli", "domains", "errors"}
+_METRICS = _BASE | {"metrics"}
+_VERIFY = _BASE | {"jets", "maps", "verify"}
+
+
+@pytest.mark.parametrize("argv, modules", zip(_CLI_POINT, [
+    _BASE, _BASE, _VERIFY, _METRICS, _VERIFY, _VERIFY, _METRICS]))
+def test_each_command_loads_only_its_modules(argv, modules):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == sorted(f"conformal_metrics.{m}" for m in modules)

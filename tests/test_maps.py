@@ -17,7 +17,9 @@ from conformal_metrics import (
     parse_map_spec,
     power_map,
     punctured_disk_covering_map,
+    pushforward_density,
     schwarzian,
+    unit_disk,
 )
 from conformal_metrics import maps
 from conformal_metrics.errors import at_point
@@ -94,6 +96,23 @@ def test_singular_points():
         at_point(maps._jet_formula, koebe_map(), 1.0)
     with pytest.raises(SingularPointError):
         at_point(maps._jet_formula, log_slit_map(0, 1), 0.0)
+
+
+def test_a_zero_of_f_prime_is_told_from_an_underflow():
+    # f' = 0 exactly at the critical points of the formula, power's 0 and
+    # mobius(a) = 0 under the square; elsewhere a 0 is 400 z^399 underflowed
+    square_after = compose_maps(power_map(2), mobius_map(0.5, 0))
+    for f, z in ((power_map(2), 0.0), (square_after, 0.5)):
+        with pytest.raises(SingularPointError) as exc:
+            pushforward_density(f, unit_disk(), z)
+        assert str(exc.value) == f"f'({complex(z)}) = 0"
+    # mobius(4/7) is 0.1 up to rounding
+    for f, z in ((power_map(400), 0.1),
+                 (compose_maps(power_map(400), mobius_map(0.5, 0)), 4 / 7)):
+        with pytest.raises(SingularPointError) as exc:
+            pushforward_density(f, unit_disk(), z)
+        assert str(exc.value) == (f"f'({complex(z)}) is nonzero but below "
+                                  "the float range")
 
 
 def test_power_map_univalence_flag():

@@ -318,7 +318,10 @@ def _resample_loop(p, m):
         frac = 0.0 if seg[j] == 0 else (tv - s[j]) / seg[j]
         out[i] = p[j] + frac * (p[j + 1] - p[j])
     out[0], out[-1] = p[0], p[-1]
-    keep = np.concatenate([[True], np.abs(np.diff(out)) > 1e-15])
+    keep = [0] + [i for i in range(1, m) if abs(out[i] - out[i - 1]) > 1e-15]
+    if keep[-1] != m - 1:
+        keep = [i for i in keep
+                if i == 0 or abs(out[i] - out[-1]) > 1e-15] + [m - 1]
     return out[keep]
 
 
@@ -336,6 +339,21 @@ def test_resample_matches_the_loop(m):
     assert metrics._resample(p, m).tobytes() == _resample_loop(p, m).tobytes()
     same = np.full(5, 0.3 + 0.1j)
     assert metrics._resample(same, m).tobytes() == same.tobytes()
+    # nodes closer than 1e-15 go, but never the end
+    for gap in (1e-13, 1e-16):
+        short = 0.3 + np.array([0, 0.4 * gap, gap], dtype=complex)
+        got = metrics._resample(short, m)
+        assert got.tobytes() == _resample_loop(short, m).tobytes()
+        assert got[0] == short[0] and got[-1] == short[-1]
+
+
+@pytest.mark.parametrize("gap", [1e-13, 1e-15])
+def test_solver_keeps_both_ends_of_a_very_short_pair(gap):
+    # k tends to |z1 - z2| / delta(z1) as z2 nears z1
+    z2 = 0.3 + gap
+    k, path = quasihyperbolic_distance(unit_disk(), 0.3, z2)
+    assert path.points[0] == 0.3 and path.points[-1] == z2
+    assert k / abs(z2 - 0.3) == pytest.approx(1 / 0.7, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
