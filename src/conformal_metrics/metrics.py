@@ -1,6 +1,7 @@
 """Distances: closed-form hyperbolic distance through each domain's
-uniformizer, Gauss-Legendre line quadrature of densities, and a
-quasihyperbolic geodesic solver that relaxes the hyperbolic geodesic.
+uniformizer, graded Gauss-Legendre and Gauss-Kronrod line quadrature of
+densities, and a quasihyperbolic geodesic solver that relaxes the
+hyperbolic geodesic.
 """
 
 from __future__ import annotations
@@ -34,11 +35,28 @@ _GL_WEIGHTS = 0.5 * np.array(
     [(18.0 - math.sqrt(30.0)) / 36.0, (18.0 + math.sqrt(30.0)) / 36.0,
      (18.0 + math.sqrt(30.0)) / 36.0, (18.0 - math.sqrt(30.0)) / 36.0]
 )
+# The 9-point Kronrod extension of GL4 (Kronrod 1965; QUADPACK, Piessens et
+# al. 1983) on [0, 1]: GL4's nodes, bit for bit, and five more, in order;
+# exact through degree 13.  _K9_LESS_GL4 holds K9's weights less GL4's.
+_K9_NODES = np.empty(9)
+_K9_NODES[1::2] = _GL_NODES
+_K9_NODES[::2] = 0.5 * (1.0 + np.array(
+    [-0.97656025073757311153, -0.6402862174963099824, 0.0,
+     0.6402862174963099824, 0.97656025073757311153]))
+_K9_WEIGHTS = 0.5 * np.array(
+    [0.062977373665473014765, 0.1700536053357227268, 0.26679834045228444803,
+     0.32694918960145162956, 0.34644298189013636168, 0.32694918960145162956,
+     0.26679834045228444803, 0.1700536053357227268, 0.062977373665473014765])
+_K9_LESS_GL4 = _K9_WEIGHTS.copy()
+_K9_LESS_GL4[1::2] -= _GL_WEIGHTS
+# path_quadrature certifies no tolerance below this rounding floor
+# (QUADPACK's 50 eps)
+_TOL_FLOOR = 50.0 * np.finfo(float).eps
 # A quadrature piece is no longer than _PIECE_C times the radius on which
 # 1/delta is analytic, nor than _KINK_C times that where delta's closed form
 # changes pieces; a piece over its bound splits into up to 2**_FANOUT parts,
 # down to _MIN_WIDTH of its segment, into at most _MAX_PIECES pieces in all
-# (see _grade).
+# (see _grade), and path_quadrature halves pieces within the same limits.
 _PIECE_C = 0.5
 _KINK_C = 1e-4
 _FANOUT = 4
@@ -153,10 +171,11 @@ def _grade(D: Domain, p: np.ndarray, c: float, pieces=None):
     at most 2**_FANOUT, so a deep grading takes few rounds.
 
     The split starts from the whole segments, or from `pieces`, pieces that
-    tile p's segments in order as _grade returns them, so that a grading at
-    a smaller c, or of a path whose nodes moved a little, refines an earlier
-    one: _scale is then evaluated once on all their ends and midpoints, and
-    the result is never coarser than `pieces`.
+    tile p's segments in order as _grade returns them, so that a grading of
+    a path whose nodes moved a little (the relaxation's re-spacing), or at
+    a smaller c, refines an earlier one: _scale is then evaluated once on
+    all their ends and midpoints, and the result is never coarser than
+    `pieces`.
 
     Returns (rule, resolved, pieces).  rule = (t, w, seg, starts): the
     nodes t and weights w in the segment parameter s in [0, 1], the segment
@@ -296,34 +315,68 @@ def _node_gradient(D: Domain, p: np.ndarray, grading):
     return length * total, (along + to_b)[:-1] + (to_a - along)[1:]
 
 
+def _kronrod(weight, p: np.ndarray, pieces) -> np.ndarray:
+    """K9 of `weight` on each piece (seg, lo, width) of the segments
+    p[i] -> p[i + 1], and K9 less GL4 there: a row per piece."""
+    seg, lo, width = pieces
+    a, step = p[seg], p[seg + 1] - p[seg]
+    t = lo[:, None] + width[:, None] * _K9_NODES
+    f = weight((a[:, None] + step[:, None] * t).ravel()).reshape(t.shape)
+    scale = np.abs(step) * width
+    return np.stack([scale * (f * _K9_WEIGHTS).sum(axis=1),
+                     scale * (f * _K9_LESS_GL4).sum(axis=1)], axis=1)
+
+
 def path_quadrature(density: str, D: Domain, path: Polyline,
                     tol: float = 1e-10, *, pieces=None) -> float:
     """Integral of the selected density along the polyline.
 
-    GL4 on the pieces of _grade at c = _PIECE_C / 4, a quarter of the
-    relaxation's bound.  The rule at twice that bound estimates the error:
-    QuadratureError when the two differ by more than `tol` relative
-    (absolute below 1), so an unconverged value is never returned.  The
-    rule at _PIECE_C / 2 refines `pieces`, those of a grading of the same
-    path as _grade returns them (the solver passes its relaxation's), or
-    the whole segments; the rule at _PIECE_C / 4 refines that one.
+    The sum of K9 over `pieces`, those of a grading of the same path as
+    _grade returns them (the solver passes its relaxation's last one), or
+    over the pieces of _grade at c = _PIECE_C from scratch.  The sum of
+    |GL4 - K9| over the pieces estimates the error.  While it exceeds `tol`
+    times max(1, |K9|), each piece whose share exceeds that allowance over
+    the number of pieces is halved, and only the halves are evaluated.
+    QuadratureError when a piece to halve is at _MIN_WIDTH, when halving
+    would make more than _MAX_PIECES pieces, or at once when `tol` is below
+    the rounding floor _TOL_FLOOR: an unconverged value is never returned.
+    ValueError when `tol` is negative or not finite.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and not negative, not {tol!r}")
     weight = _weight_fn(density, D)
     p = path.as_array()
     at_point(domains.checked_delta, D, p)
-    values = []
-    for c in (0.5 * _PIECE_C, 0.25 * _PIECE_C):
-        grading, resolved, pieces = _grade(D, p, c, pieces)
+    if pieces is None:
+        _, resolved, pieces = _grade(D, p, _PIECE_C)
         if not resolved:
             raise OutsideDomainError("path meets the boundary of the domain")
-        values.append(float(np.sum(
-            _segment_costs(weight, p[:-1], p[1:], grading))))
-    coarse, fine = values
-    if abs(fine - coarse) > tol * max(1.0, abs(fine)):
-        raise QuadratureError(
-            f"quadrature not converged: {fine!r} on pieces of half the "
-            f"length of those giving {coarse!r}")
-    return fine
+    if tol < _TOL_FLOOR:
+        raise QuadratureError(f"quadrature not converged: tol {tol!r} is "
+                              f"below the rounding floor {_TOL_FLOOR!r}")
+    values = _kronrod(weight, p, pieces)
+    while True:
+        total = float(np.sum(values[:, 0]))
+        allowance = tol * max(1.0, abs(total))
+        error = np.abs(values[:, 1])
+        estimate = float(np.sum(error))
+        if estimate <= allowance:
+            return total
+        halve = error > allowance / len(error)
+        seg, lo, width = pieces
+        if (not halve.any() or width[halve].min() <= _MIN_WIDTH
+                or len(error) + np.count_nonzero(halve) > _MAX_PIECES):
+            raise QuadratureError(
+                f"quadrature not converged: {total!r} with an error "
+                f"estimate of {estimate!r}")
+        half = 0.5 * width[halve]
+        halves = (np.tile(seg[halve], 2),
+                  np.concatenate([lo[halve], lo[halve] + half]),
+                  np.tile(half, 2))
+        kept = ~halve
+        pieces = tuple(np.concatenate([x[kept], y])
+                       for x, y in zip(pieces, halves))
+        values = np.concatenate([values[kept], _kronrod(weight, p, halves)])
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +624,9 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
 def _solve(D: Domain, z1: complex, z2: complex, w1: complex, w2: complex,
            cfg: SolverConfig):
     """(k, path, history) relaxed from the geodesic start between the lifts
-    w1 and w2."""
+    w1 and w2.  k is path_quadrature on the relaxation's last grading of the
+    path: K9 on its pieces, at c = _PIECE_C, halved only where GL4 and K9
+    disagree, so the path is not graded again."""
     p, history, pieces = _relax(D, _geodesic_start(D, z1, z2, w1, w2,
                                                    cfg.path_nodes), cfg)
     poly = Polyline(p)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conformal_metrics import (
     OutsideDomainError,
@@ -201,6 +202,103 @@ def test_quadrature_raises_rather_than_return_an_unconverged_value():
     with pytest.raises(QuadratureError, match="not converged"):
         path_quadrature("quasihyperbolic", upper_half_plane(), path,
                         tol=1e-16)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_quadrature_rejects_a_tolerance_that_is_not_a_number_at_least_0(tol):
+    with pytest.raises(ValueError, match="tol"):
+        path_quadrature("quasihyperbolic", unit_disk(), Polyline([0, 0.5]),
+                        tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-16, 0.99 * metrics._TOL_FLOOR])
+def test_quadrature_below_the_rounding_floor_raises_at_once(tol,
+                                                              monkeypatch):
+    # no bisection is tried: the estimate is never evaluated
+    def kronrod(*args):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(metrics, "_kronrod", kronrod)
+    with pytest.raises(QuadratureError, match="rounding floor"):
+        path_quadrature("quasihyperbolic", unit_disk(), Polyline([0, 0.5]),
+                        tol=tol)
+
+
+# a segment whose one piece at c has the least piece of delta "circle" at
+# both ends and the midpoint, but the slit's side between t = 0.008 and
+# t = 0.448
+_KINKED = -0.125 - 0.625j
+_HIDDEN_KINK = (slit_disk(_KINKED), Polyline(
+    [_KINKED - 0.03259 + 0.49947j, _KINKED - 0.00816 + 0.50013j]))
+
+
+@pytest.mark.parametrize("limit, value", [("_MIN_WIDTH", 1.0),
+                                          ("_MAX_PIECES", 1)])
+def test_quadrature_raises_where_halving_reaches_its_limits(limit, value,
+                                                            monkeypatch):
+    # the hidden-kink segment's estimate fails on its one piece, and no
+    # piece may be halved
+    monkeypatch.setattr(metrics, limit, value)
+    with pytest.raises(QuadratureError, match="error estimate"):
+        path_quadrature("quasihyperbolic", *_HIDDEN_KINK)
+
+
+def test_kronrod_rule_extends_gl4_and_is_exact_through_degree_13():
+    nodes, weights = metrics._K9_NODES, metrics._K9_WEIGHTS
+    assert np.all(np.diff(nodes) > 0)
+    assert nodes[1::2].tobytes() == metrics._GL_NODES.tobytes()
+    np.testing.assert_array_equal(
+        metrics._K9_LESS_GL4[1::2], weights[1::2] - metrics._GL_WEIGHTS)
+    np.testing.assert_array_equal(metrics._K9_LESS_GL4[::2], weights[::2])
+    for d in range(14):
+        assert np.sum(weights * nodes ** d) == pytest.approx(
+            1 / (d + 1), rel=0, abs=1e-14)
+    assert abs(np.sum(weights * nodes ** 14) - 1 / 15) > 1e-12
+
+
+_QUADRATURE_DOMAINS = [unit_disk(), punctured_disk(), upper_half_plane(),
+                       koebe_slit_plane(), slit_disk(0.25 + 0.125j),
+                       log_strip(1), log_strip(0.5 + 2j)]
+
+
+@st.composite
+def _segments(draw):
+    """A domain and the ends of a segment in it: psi^-1 of half-plane points
+    at heights over four decades; or, in the slit disk, a chord next to its
+    circle, or one beside its slit."""
+    route = draw(st.sampled_from(["psi", "circle", "slit"]))
+    if route == "psi":
+        D = draw(st.sampled_from(_QUADRATURE_DOMAINS))
+        w = [complex(draw(st.floats(-3, 3)), 10 ** draw(st.floats(-3, 1)))
+             for _ in range(2)]
+        z = domains.entry(D).psi_inv(np.array(w), *D.params)
+        return D, z
+    D = _QUADRATURE_DOMAINS[4]
+    (c,) = D.params
+    if route == "circle":
+        theta = draw(st.floats(-3, 3))
+        u = [(1 - 10 ** draw(st.floats(-4, -1))) * cmath.exp(1j * t)
+             for t in (theta, theta + draw(st.floats(-0.3, 0.3)))]
+    else:
+        side = draw(st.sampled_from([1, -1]))
+        u = [complex(draw(st.floats(-0.95, 0.3)),
+                     side * 10 ** draw(st.floats(-3, -1))) for _ in range(2)]
+    return D, c + np.array(u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_segments())
+def test_quadrature_of_random_segments_against_a_fine_grading(segment):
+    # K9 on the pieces at c, certified to 1e-10, against GL4 graded from
+    # scratch at c/64
+    D, p = segment
+    assume(p[0] != p[1] and np.all(domains.delta_vec(D, p) > 0))
+    grading, resolved, _ = metrics._grade(D, p, metrics._PIECE_C / 64)
+    assume(resolved)
+    want = np.sum(metrics._segment_costs(
+        metrics._weight_fn("quasihyperbolic", D), p[:-1], p[1:], grading))
+    v = path_quadrature("quasihyperbolic", D, Polyline(p))
+    assert v == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_solver_disk_radial():
@@ -408,9 +506,8 @@ def _moved(D, p, seed=5):
     (upper_half_plane(), 0.001j, 10 + 0.001j)], ids=_IDS + ["uhp-rho"])
 def test_grade_bounds_every_piece(D, z1, z2):
     # from scratch at c and at c/4; refined from the c grading through c/2
-    # down to c/4, as the solver's path_quadrature does; and the re-spaced
-    # path of a moved path, started from its parent's pieces, as the
-    # relaxation grades it
+    # down to c/4; and the re-spaced path of a moved path, started from its
+    # parent's pieces, as the relaxation grades it
     c = metrics._PIECE_C
     p = _initial_path(D, z1, z2)
     parent = _moved(D, p)
@@ -456,16 +553,10 @@ def test_grade_bounds_every_piece(D, z1, z2):
                       <= bound * (1 + 1e-9))
 
 
-@pytest.mark.xfail(strict=True, reason="a piece whose ends and midpoint "
-                   "share the least piece of delta can hide two kinks")
 def test_quadrature_of_a_segment_across_a_hidden_kink():
-    # the least piece of delta is the circle at both ends and the midpoint,
-    # but the slit's side between t = 0.008 and t = 0.448; mpmath, split at
-    # the two kinks, gives 0.0489045680283757, and path_quadrature
-    # 0.0489046991039925, 2.7e-6 high where it certifies 1e-10
-    c = -0.125 - 0.625j
-    path = Polyline([c - 0.03259 + 0.49947j, c - 0.00816 + 0.50013j])
-    v = path_quadrature("quasihyperbolic", slit_disk(c), path)
+    # GL4 on the grading's one piece is 2.7e-6 high, and K9 tells it so;
+    # mpmath, split at the two kinks, gives 0.0489045680283757
+    v = path_quadrature("quasihyperbolic", *_HIDDEN_KINK)
     assert v == pytest.approx(0.0489045680283757, rel=1e-10, abs=0)
 
 
@@ -629,12 +720,13 @@ def test_solve_grades_from_scratch_only_the_start_and_the_trials(
         monkeypatch):
     # the start path and each line-search trial are graded from scratch;
     # the re-spaced path refines its parent's pieces, and the final
-    # quadrature refines the relaxation's last grading at c/2, then that at
-    # c/4
+    # quadrature takes the relaxation's last grading of the returned path
+    # and grades nothing itself
     D, z1, z2 = _CASES[2]
-    grades, costed, resampled = [], [], []
-    grade, costs, resample = (metrics._grade, metrics._segment_costs,
-                              metrics._resample)
+    grades, costed, resampled, quadratures = [], [], [], []
+    grade, costs, resample, quadrature = (
+        metrics._grade, metrics._segment_costs, metrics._resample,
+        metrics.path_quadrature)
 
     def recording_grade(D, q, c, pieces=None):
         result = grade(D, q, c, pieces)
@@ -649,37 +741,79 @@ def test_solve_grades_from_scratch_only_the_start_and_the_trials(
         resampled.append((p.copy(), resample(p, m)))
         return resampled[-1][1]
 
+    def recording_quadrature(density, D, path, tol=1e-10, *, pieces=None):
+        quadratures.append((path.as_array(), pieces, len(grades)))
+        return quadrature(density, D, path, tol, pieces=pieces)
+
     monkeypatch.setattr(metrics, "_grade", recording_grade)
     monkeypatch.setattr(metrics, "_segment_costs", recording_costs)
     monkeypatch.setattr(metrics, "_resample", recording_resample)
+    monkeypatch.setattr(metrics, "path_quadrature", recording_quadrature)
     _, poly, _ = quasihyperbolic_distance_detailed(D, z1, z2)
     # the geodesic start's resampling, then the one re-spacing
     (_, start), (parent, respaced) = resampled
     scratch = [g for g in grades if g[2] is None]
     seeded = [g for g in grades if g[2] is not None]
     assert np.array_equal(grades[0][0], start) and grades[0][2] is None
-    # every costed path is a trial graded from scratch or a seeded grading
+    # every costed path is a trial graded from scratch or the re-spaced one
     assert len(scratch) == 1 + len(costed) - len(seeded)
-    assert all(c == metrics._PIECE_C for _, c, _, _ in scratch)
+    assert all(c == metrics._PIECE_C for _, c, _, _ in grades)
+    # one quadrature, of the returned path on its last grading's pieces,
+    # after every grading
     p = poly.as_array()
-    *middle, half, quarter = seeded
-    assert [half[1], quarter[1]] == [metrics._PIECE_C / 2,
-                                     metrics._PIECE_C / 4]
-    assert np.array_equal(half[0], p) and np.array_equal(quarter[0], p)
-    last = [g for g in grades[:-2] if np.array_equal(g[0], p)][-1]
-    assert half[2] is last[3] and quarter[2] is half[3]
-    assert len(middle) == 1
-    q, c, pieces, _ = middle[0]
-    assert np.array_equal(q, respaced) and c == metrics._PIECE_C
+    (path, pieces, graded), = quadratures
+    assert np.array_equal(path, p) and graded == len(grades)
+    assert pieces is [g for g in grades if np.array_equal(g[0], p)][-1][3]
+    (q, _, pieces, _), = seeded
+    assert np.array_equal(q, respaced)
     # the pieces of the path re-spaced, from its last grading
-    before = grades[:next(i for i, g in enumerate(grades) if g is middle[0])]
+    before = grades[:next(i for i, g in enumerate(grades) if g is seeded[0])]
     assert pieces is [g for g in before if np.array_equal(g[0], parent)][-1][3]
 
 
 @pytest.mark.parametrize("D, z1, z2", _CASES, ids=_IDS)
+def test_solver_quadrature_passes_its_estimate_on_the_relaxation_pieces(
+        D, z1, z2, monkeypatch):
+    # on these pairs the final quadrature's estimate passes at once: it
+    # grades nothing, and evaluates 1/delta on the path's nodes, to check
+    # them, and on K9's nodes of each of the relaxation's pieces only
+    calls = []
+    grade, quadrature, delta = (metrics._grade, metrics.path_quadrature,
+                                domains.delta_vec)
+
+    def recording_grade(*args):
+        calls.append("grade")
+        return grade(*args)
+
+    def recording_delta(D, z):
+        calls.append(np.size(z))
+        return delta(D, z)
+
+    def recording_quadrature(density, D, path, tol=1e-10, *, pieces=None):
+        calls.append((len(path.points), len(pieces[0])))
+        monkeypatch.setattr(domains, "delta_vec", recording_delta)
+        try:
+            return quadrature(density, D, path, tol, pieces=pieces)
+        finally:
+            monkeypatch.setattr(domains, "delta_vec", delta)
+            calls.append("done")
+
+    monkeypatch.setattr(metrics, "_grade", recording_grade)
+    monkeypatch.setattr(metrics, "path_quadrature", recording_quadrature)
+    quasihyperbolic_distance_detailed(D, z1, z2)
+    starts = [i for i, call in enumerate(calls) if isinstance(call, tuple)]
+    assert starts
+    for i in starts:
+        nodes, pieces = calls[i]
+        assert calls[i + 1:i + 4] == [nodes, metrics._K9_NODES.size * pieces,
+                                      "done"]
+
+
+@pytest.mark.parametrize("D, z1, z2", _CASES, ids=_IDS)
 def test_solver_k_is_the_quadrature_of_its_path(D, z1, z2):
-    # the solver's quadrature refines its relaxation's grading; a public
-    # call on the returned path, and the c/4 rule from scratch, agree
+    # the solver's quadrature runs on its relaxation's grading; a public
+    # call on the returned path, which grades it from scratch, and GL4 at
+    # c/4 from scratch agree
     k, poly, _ = quasihyperbolic_distance_detailed(D, z1, z2)
     assert k == pytest.approx(path_quadrature("quasihyperbolic", D, poly),
                               rel=1e-13, abs=0)
