@@ -288,13 +288,17 @@ def checked_jet(f: AnalyticMap, z: np.ndarray, faults: Faults) -> JetArray:
 
 def _critical(f: AnalyticMap, z: np.ndarray) -> np.ndarray:
     """Where f' has a zero: at z = 0 for a power n >= 2, at z = -1 for
-    koebe, and for f o g where g' has one or g(z) is one of f'.  A 0 in a
-    jet's f' anywhere else is a nonzero value below the float range."""
+    koebe, and for f o g where g' has one, or where g(z) is one of f' and
+    g'(z) reads nonzero.  In the catalog a g'(z) that reads 0 off the
+    zeros of g' comes with a g(z) that underflowed too, as power(400) at
+    0.1 does.  A 0 in a jet's f' anywhere else is a nonzero value below the
+    float range."""
     if f.kind == "composite":
         outer, inner = f.factors
         with np.errstate(all="ignore"):
-            gz = _jet_formula(inner, z, Faults(z.shape)).f0
-        return _critical(inner, z) | _critical(outer, gz)
+            jet = _jet_formula(inner, z, Faults(z.shape))
+        return _critical(inner, z) | (_critical(outer, jet.f0)
+                                      & (jet.f1 != 0))
     if f.kind == "power" and f.params[0] >= 2:
         return z == 0
     if f.kind == "koebe":
@@ -308,10 +312,12 @@ def flag_critical(f: AnalyticMap, z: np.ndarray, jet: JetArray,
     f', or a nonzero f' below the float range."""
     def error(i):
         w = z.flat[i:i + 1]
+        # the repr of a complex with a real part brings its own parentheses
+        at = str(complex(w[0])).strip("()")
         if _critical(f, w)[0]:
-            return SingularPointError(f"f'({complex(w[0])}) = 0")
-        return SingularPointError(f"f'({complex(w[0])}) is nonzero but "
-                                  "below the float range")
+            return SingularPointError(f"f'({at}) = 0")
+        return SingularPointError(f"f'({at}) is nonzero but below the float "
+                                  "range")
 
     faults.flag(jet.f1 == 0, error)
 

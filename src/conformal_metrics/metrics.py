@@ -80,13 +80,15 @@ class Polyline:
     def __init__(self, points):
         if isinstance(points, np.ndarray):
             # Python complexes, not one numpy scalar a point
-            points = points.tolist()
-        pts = tuple(complex(p) for p in points)
+            pts = tuple(complex(p) for p in points.tolist())
+            repeated = (points[1:] == points[:-1]).any()
+        else:
+            pts = tuple(complex(p) for p in points)
+            repeated = any(a == b for a, b in zip(pts, pts[1:]))
         if len(pts) < 2:
             raise ValueError("a polyline needs at least 2 points")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValueError("consecutive polyline points must be distinct")
+        if repeated:
+            raise ValueError("consecutive polyline points must be distinct")
         object.__setattr__(self, "points", pts)
 
     def as_array(self) -> np.ndarray:
@@ -190,18 +192,26 @@ def _grade(D: Domain, p: np.ndarray, c: float, pieces=None):
     a = p[:-1]
     step = p[1:] - a
     length = np.abs(step)
-    seg, lo, width = _whole_segments(n)[1] if pieces is None else pieces
-    # _scale at the nodes, then at the pieces' inner ends and midpoints: the
-    # pieces are parts cut from the whole segments
-    inner = lo.nonzero()[0]
-    on = np.concatenate([seg[inner], seg])
-    r, label = _scale(D, np.concatenate([p, a[on] + step[on] * np.concatenate(
-        [lo[inner], lo + 0.5 * width])]))
-    r_lo, r_hi, r_mid = _ends(r[:n], r[1:n + 1], r[n + 1:], seg, inner)
+    if pieces is None:
+        # _scale at the nodes, then at the segments' midpoints
+        seg, lo, width = _whole_segments(n)[1]
+        r, label = _scale(D, np.concatenate([p, a + 0.5 * step]))
+    else:
+        # _scale at the nodes, then at the pieces' inner ends and midpoints
+        seg, lo, width = pieces
+        inner = lo.nonzero()[0]
+        on = np.concatenate([seg[inner], seg])
+        r, label = _scale(D, np.concatenate([p, a[on] + step[on] * (
+            np.concatenate([lo[inner], lo + 0.5 * width]))]))
+    r_lo, r_hi, r_mid = r[:n], r[1:n + 1], r[n + 1:]
     labelled = np.ndim(label) > 0
     if labelled:
-        l_lo, l_hi, l_mid = _ends(label[:n], label[1:n + 1], label[n + 1:],
-                                  seg, inner)
+        l_lo, l_hi, l_mid = label[:n], label[1:n + 1], label[n + 1:]
+    if pieces is not None:
+        # the pieces are parts cut from the whole segments
+        r_lo, r_hi, r_mid = _ends(r_lo, r_hi, r_mid, seg, inner)
+        if labelled:
+            l_lo, l_hi, l_mid = _ends(l_lo, l_hi, l_mid, seg, inner)
     done = []
     finished = 0  # pieces in done
     resolved = False
@@ -273,19 +283,28 @@ def _whole_segments(n: int):
     return rule, pieces
 
 
-def _segment_costs(weight, a: np.ndarray, b: np.ndarray,
-                   grading) -> np.ndarray:
-    """Quadrature of `weight` along the segments a[i] -> b[i] on the rule
-    of _grade."""
-    t, w, seg, starts = grading
-    z = a[seg] + (b - a)[seg] * t
-    return np.abs(b - a) * np.add.reduceat(weight(z) * w, starts)
-
-
-def _node_gradient(D: Domain, p: np.ndarray, grading):
+def _segment_costs(D: Domain, p: np.ndarray, grading):
     """The quasihyperbolic costs of the segments of p on the rule of _grade,
-    those of _segment_costs bit for bit, and the gradient of their sum with
-    respect to the interior nodes, as complex numbers d/dx + i d/dy.
+    and the values _node_gradient takes: each segment's step b - a, length
+    and sum of 1/delta times the weights, and at the rule's nodes z, the
+    label of the least piece of delta there (_least_piece), 1/delta and
+    1/delta times the weights."""
+    t, w, seg, starts = grading
+    a = p[:-1]
+    step = p[1:] - a
+    z = a[seg] + step[seg] * t
+    d, label = _least_piece(D, z)
+    inv = 1.0 / d
+    weighted = inv * w
+    length = np.abs(step)
+    total = np.add.reduceat(weighted, starts)
+    return length * total, (step, length, total, z, label, inv, weighted)
+
+
+def _node_gradient(D: Domain, grading, values):
+    """The gradient of the sum of the segment costs of a path with respect
+    to its interior nodes, as complex numbers d/dx + i d/dy, from the
+    `values` _segment_costs returned with them on `grading`.
 
     The segment a -> b, of length L and direction u = (b - a) / L, costs
     C = L int w with w = 1/delta at a + t (b - a), so
@@ -295,24 +314,17 @@ def _node_gradient(D: Domain, p: np.ndarray, grading):
     least piece of delta (Kind.slopes).  The integrals are the rule's own
     sums: the exact gradient of the discrete functional on this grading.
     """
-    t, w, seg, starts = grading
-    a = p[:-1]
-    step = p[1:] - a
-    z = a[seg] + step[seg] * t
-    d, label = _least_piece(D, z)
+    t, _, _, starts = grading
+    step, length, total, z, label, inv, weighted = values
     slope, *rest = domains.entry(D).slopes(z, *D.params)
     for k, s in enumerate(rest, 1):
         slope = np.where(label == k, s, slope)
-    inv = 1.0 / d
-    weighted = inv * w
     # grad w times the weights
     dw = slope * (-inv * weighted)
-    length = np.abs(step)
-    total = np.add.reduceat(weighted, starts)
     to_a = length * np.add.reduceat(dw * (1.0 - t), starts)
     to_b = length * np.add.reduceat(dw * t, starts)
     along = step / length * total
-    return length * total, (along + to_b)[:-1] + (to_a - along)[1:]
+    return (along + to_b)[:-1] + (to_a - along)[1:]
 
 
 def _kronrod(weight, p: np.ndarray, pieces) -> np.ndarray:
@@ -452,7 +464,7 @@ def _resample(p: np.ndarray, m: int) -> np.ndarray:
     s = np.concatenate([[0.0], np.cumsum(seg)])
     if s[-1] == 0:
         return p
-    targets = np.linspace(0.0, s[-1], m)
+    targets = _spaced(s[-1], m)
     j = np.minimum(np.searchsorted(s[1:], targets), len(seg) - 1)
     frac = np.divide(targets - s[j], seg[j], out=np.zeros(m),
                      where=seg[j] != 0)
@@ -463,6 +475,15 @@ def _resample(p: np.ndarray, m: int) -> np.ndarray:
         keep[-1] = True
         keep[1:-1] &= np.abs(out[1:-1] - out[-1]) > 1e-15
     return out[keep]
+
+
+def _spaced(length: float, m: int) -> np.ndarray:
+    """m >= 2 points spaced equally from 0 to length: np.linspace(0, length,
+    m) bit for bit, in fewer calls, unless length / (m - 1) underflows to
+    0."""
+    x = np.arange(m) * (length / (m - 1))
+    x[-1] = length
+    return x
 
 
 def _precondition(k: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -476,15 +497,16 @@ def _precondition(k: np.ndarray, g: np.ndarray) -> np.ndarray:
     beyond the float range); ValueError when it is not finite."""
     if not (np.isfinite(k).all() and np.isfinite(g).all()):
         raise ValueError("relaxation gradient is not finite")
-    if np.any(k <= 0):
+    if (k <= 0).any():
         return g
     c = 1.0 / k
     s, t = np.cumsum(c)[:-1], np.cumsum(c[::-1])[::-1][1:]
     total = s[-1] + c[-1]
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         return g
-    right = np.cumsum((t * g)[::-1])[::-1]
-    right = np.append(right[1:], 0.0)
+    # sum_{m > i} t_m g_m
+    right = np.zeros_like(g)
+    right[:-1] = np.cumsum((t * g)[:0:-1])[::-1]
     return (t * np.cumsum(s * g) + s * right) / total
 
 
@@ -528,38 +550,41 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
     relaxed path, the objective history and the pieces of the path's
     grading (_grade), for the final quadrature to refine.
 
-    Each path is costed on its own grading, and an accepted path's
-    gradient is the exact one of the functional on that grading
-    (_node_gradient), computed once.  The direction is the limited-memory
-    quasi-Newton one (_lbfgs_direction) over the last _MEMORY pairs of node
-    and gradient changes between accepted paths, whose initial inverse
-    Hessian is the tridiagonal weighted Laplacian's (the Hessian of the
-    dominant length-times-weight part); a pair enters only when s.y > 0.
-    The step is scaled as a whole so that no node moves by more than
-    _RELAX_STEP times its delta.  A trial update is accepted only if it
-    stays interior, its grading resolves and it strictly lowers the
-    functional.  The descent stops when no step is accepted whose
-    first-order gain, -grad . step, reaches cfg.tolerance times the
-    functional: the line search gives up at such a step.  At a full step
-    that gain is the size of the preconditioned gradient.  When the descent
-    stops, the path re-spaced to equal arc length takes over, once, if it
-    costs less, with an empty memory.  So the recorded history is
-    non-increasing by construction.  A line-search trial is graded from
+    Each path is costed on its own grading in one pass (_segment_costs),
+    and an accepted path's gradient, the exact one of the functional on
+    that grading (_node_gradient), is computed once from that pass's
+    values.  The direction is the limited-memory quasi-Newton one
+    (_lbfgs_direction) over the last _MEMORY pairs of node and gradient
+    changes between accepted paths, whose initial inverse Hessian is the
+    tridiagonal weighted Laplacian's (the Hessian of the dominant
+    length-times-weight part); a pair enters only when s.y > 0.  The step
+    is scaled as a whole so that no node moves by more than _RELAX_STEP
+    times its delta; the delta that checks that a trial stays interior
+    caps the next step once the trial is accepted.  A trial update is
+    accepted only if it stays interior, its grading resolves and it
+    strictly lowers the functional.  The descent stops when no step is
+    accepted whose first-order gain, -grad . step, reaches cfg.tolerance
+    times the functional: the line search gives up at such a step.  At a
+    full step that gain is the size of the preconditioned gradient.  When
+    the descent stops, the path re-spaced to equal arc length takes over,
+    once, if it costs less, with an empty memory.  So the recorded history
+    is non-increasing by construction.  A line-search trial is graded from
     scratch; the re-spaced path, whose node i moved only a little along the
     path, refines the grading of the path it re-spaces.
     """
-    weight = _weight_fn("quasihyperbolic", D)
-
     def cost(q, pieces=None):
         grading, resolved, pieces = _grade(D, q, _PIECE_C, pieces)
-        return grading, resolved, pieces, float(np.sum(
-            _segment_costs(weight, q[:-1], q[1:], grading)))
+        costs, values = _segment_costs(D, q, grading)
+        return grading, resolved, pieces, costs, values
 
     grading, resolved, pieces = _grade(D, p, _PIECE_C)
     if not resolved:
         raise OutsideDomainError("path meets the boundary of the domain")
-    c_cur, grad = _node_gradient(D, p, grading)
+    c_cur, values = _segment_costs(D, p, grading)
+    grad = _node_gradient(D, grading, values)
     f_cur = float(np.sum(c_cur))
+    # a node moves by at most its cap
+    cap = _RELAX_STEP * domains.delta_vec(D, p[1:-1])
 
     lr = 1.0
     history = [f_cur]
@@ -567,14 +592,14 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
     # the pairs of _remember
     memory = []
     for _ in range(cfg.relax_iterations):
-        if not np.any(np.abs(grad) > 0):
+        if not (np.abs(grad) > 0).any():
             break
-        # spring constants: mean weight on each segment over its length
-        g = _lbfgs_direction(c_cur / np.abs(p[1:] - p[:-1]) ** 2, grad,
-                             memory)
+        # spring constants: mean weight on each segment over its length,
+        # values[1]
+        g = _lbfgs_direction(c_cur / values[1] ** 2, grad, memory)
         # the step is g times min(lr, reach): at reach the node nearest its
         # cap meets it
-        cap, mag = _RELAX_STEP * domains.delta_vec(D, p[1:-1]), np.abs(g)
+        mag = np.abs(g)
         reach = min(1.0, float(np.min(np.divide(
             cap, mag, out=np.full(len(g), np.inf), where=mag > 0))))
         moved = False
@@ -586,13 +611,18 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
                 break
             trial = p.copy()
             trial[1:-1] = p[1:-1] + disp
-            if np.all(domains.delta_vec(D, trial[1:-1]) > 1e-12):
-                grading_new, resolved, pieces_new, f_new = cost(trial)
+            d_trial = domains.delta_vec(D, trial[1:-1])
+            if (d_trial > 1e-12).all():
+                grading_new, resolved, pieces_new, c_new, values_new = cost(
+                    trial)
+                f_new = float(np.sum(c_new))
                 if resolved and f_new < f_cur:
-                    c_cur, grad_new = _node_gradient(D, trial, grading_new)
+                    grad_new = _node_gradient(D, grading_new, values_new)
                     memory = _remember(memory, trial[1:-1] - p[1:-1],
                                        grad_new - grad)
                     p, grad, f_cur, pieces = trial, grad_new, f_new, pieces_new
+                    c_cur, values = c_new, values_new
+                    cap = _RELAX_STEP * d_trial
                     moved = True
                     lr = min(lr * 1.5, 1.0)
                     break
@@ -609,12 +639,14 @@ def _relax(D: Domain, p: np.ndarray, cfg: SolverConfig):
         respaced = True
         q = _resample(p, len(p))
         # segment i of q lies near segment i of p: its grading refines p's
-        grading_q, resolved, pieces_q, f_q = cost(
+        grading_q, resolved, pieces_q, c_q, values_q = cost(
             q, pieces if len(q) == len(p) else None)
+        f_q = float(np.sum(c_q))
         if not (resolved and f_q < f_cur):
             break
-        p, f_cur, pieces = q, f_q, pieces_q
-        c_cur, grad = _node_gradient(D, p, grading_q)
+        p, f_cur, pieces, c_cur, values = q, f_q, pieces_q, c_q, values_q
+        grad = _node_gradient(D, grading_q, values)
+        cap = _RELAX_STEP * domains.delta_vec(D, p[1:-1])
         history.append(f_cur)
         lr = 1.0
         memory = []

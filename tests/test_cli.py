@@ -395,7 +395,7 @@ def test_non_finite_literals_are_usage_errors(capsys, argv, bad):
 
 @pytest.mark.parametrize("argv, message", [
     (["--map", "power:400", "--at", "0.1"],
-     "f'((0.1+0j)) is nonzero but below the float range"),
+     "f'(0.1+0j) is nonzero but below the float range"),
     (["--map", "power:2", "--at", "0"], "f'(0j) = 0"),
 ])
 def test_ratio_tells_an_underflowed_f_prime_from_a_zero(capsys, argv,

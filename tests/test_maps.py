@@ -102,17 +102,23 @@ def test_a_zero_of_f_prime_is_told_from_an_underflow():
     # f' = 0 exactly at the critical points of the formula, power's 0 and
     # mobius(a) = 0 under the square; elsewhere a 0 is 400 z^399 underflowed
     square_after = compose_maps(power_map(2), mobius_map(0.5, 0))
-    for f, z in ((power_map(2), 0.0), (square_after, 0.5)):
+    for f, z, at in ((power_map(2), 0.0, "0j"),
+                     (square_after, 0.5, "0.5+0j")):
         with pytest.raises(SingularPointError) as exc:
             pushforward_density(f, unit_disk(), z)
-        assert str(exc.value) == f"f'({complex(z)}) = 0"
-    # mobius(4/7) is 0.1 up to rounding
-    for f, z in ((power_map(400), 0.1),
-                 (compose_maps(power_map(400), mobius_map(0.5, 0)), 4 / 7)):
+        assert str(exc.value) == f"f'({at}) = 0"
+    # mobius(4/7) is 0.1 up to rounding; under the square, 0.1^400
+    # underflows onto its critical point 0, but f' = 2 g g' is not 0
+    for f, z, at in ((power_map(400), 0.1, "0.1+0j"),
+                     (compose_maps(power_map(400), mobius_map(0.5, 0)), 4 / 7,
+                      "0.5714285714285714+0j"),
+                     (compose_maps(power_map(2), power_map(400)), 0.1,
+                      "0.1+0j"),
+                     (power_map(400), -0.1j, "-0-0.1j")):
         with pytest.raises(SingularPointError) as exc:
             pushforward_density(f, unit_disk(), z)
-        assert str(exc.value) == (f"f'({complex(z)}) is nonzero but below "
-                                  "the float range")
+        assert str(exc.value) == (f"f'({at}) is nonzero but below the float "
+                                  "range")
 
 
 def test_power_map_univalence_flag():

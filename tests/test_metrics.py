@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 import time
@@ -34,11 +35,18 @@ import grid_reference as grid
 
 
 def test_polyline_validation():
-    with pytest.raises(ValueError):
-        Polyline([0])
-    with pytest.raises(ValueError):
-        Polyline([0, 0, 1])
+    # a list and an array raise the same errors
+    for points in ([0], np.array([0j])):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            Polyline(points)
+    for points in ([0, 0, 1], np.array([0, 1, 1], dtype=complex),
+                   np.array([1j, 0.5, -0.0 + 0.5])):
+        with pytest.raises(ValueError, match="must be distinct"):
+            Polyline(points)
     assert Polyline([0, 1, 1 + 1j]).points == (0, 1, 1 + 1j)
+    points = Polyline(np.array([0, 1, 1 + 1j])).points
+    assert points == (0, 1, 1 + 1j)
+    assert all(type(z) is complex for z in points)
 
 
 def test_hyperbolic_distance_disk_closed_form():
@@ -295,8 +303,7 @@ def test_quadrature_of_random_segments_against_a_fine_grading(segment):
     assume(p[0] != p[1] and np.all(domains.delta_vec(D, p) > 0))
     grading, resolved, _ = metrics._grade(D, p, metrics._PIECE_C / 64)
     assume(resolved)
-    want = np.sum(metrics._segment_costs(
-        metrics._weight_fn("quasihyperbolic", D), p[:-1], p[1:], grading))
+    want = np.sum(metrics._segment_costs(D, p, grading)[0])
     v = path_quadrature("quasihyperbolic", D, Polyline(p))
     assert v == pytest.approx(want, rel=1e-10, abs=0)
 
@@ -443,6 +450,16 @@ def test_resample_matches_the_loop(m):
         got = metrics._resample(short, m)
         assert got.tobytes() == _resample_loop(short, m).tobytes()
         assert got[0] == short[0] and got[-1] == short[-1]
+
+
+def test_resample_targets_are_those_of_linspace():
+    # random node counts and path lengths over the float range
+    rng = np.random.default_rng(20000)
+    for _ in range(20000):
+        m = int(rng.integers(2, 601))
+        length = 10.0 ** rng.uniform(-300, 300) * rng.uniform(1, 10)
+        assert (metrics._spaced(length, m).tobytes()
+                == np.linspace(0.0, length, m).tobytes())
 
 
 @pytest.mark.parametrize("gap", [1e-13, 1e-15])
@@ -662,13 +679,17 @@ def test_node_gradient_is_that_of_the_discrete_functional(D, z1, z2):
     p = _moved(D, p)
     grading, resolved, _ = metrics._grade(D, p, metrics._PIECE_C)
     assert resolved
+    costs, values = metrics._segment_costs(D, p, grading)
+    grad = metrics._node_gradient(D, grading, values)
+    # the costs are GL4 of 1/delta on the grading
     weight = metrics._weight_fn("quasihyperbolic", D)
-    costs, grad = metrics._node_gradient(D, p, grading)
-    assert costs.tobytes() == metrics._segment_costs(
-        weight, p[:-1], p[1:], grading).tobytes()
+    t, w, seg, starts = grading
+    z = p[:-1][seg] + (p[1:] - p[:-1])[seg] * t
+    assert costs.tobytes() == (np.abs(p[1:] - p[:-1]) * np.add.reduceat(
+        weight(z) * w, starts)).tobytes()
 
     def functional(q):
-        return np.sum(metrics._segment_costs(weight, q[:-1], q[1:], grading))
+        return np.sum(metrics._segment_costs(D, q, grading)[0])
 
     for i in range(1, len(p) - 1):
         h, want = 1e-6 * d[i], 0j
@@ -681,39 +702,114 @@ def test_node_gradient_is_that_of_the_discrete_functional(D, z1, z2):
 
 
 def test_relaxation_takes_one_gradient_per_accepted_path(monkeypatch):
-    # every path the relaxation costs gets its own grading; the gradient is
-    # taken once on each accepted path, on that path's grading, and never
-    # on a rejected trial
+    # every path the relaxation costs gets its own grading and one cost
+    # pass; the gradient is taken once on each accepted path, from the
+    # values of that path's cost pass, and never on a rejected trial
     D = punctured_disk()
     p = _initial_path(D, 0.7, -0.7)
     calls = []
-    grade, gradient = metrics._grade, metrics._node_gradient
+    grade, costs, gradient = (metrics._grade, metrics._segment_costs,
+                              metrics._node_gradient)
 
     def recording_grade(D, q, c, pieces=None):
         result = grade(D, q, c, pieces)
         calls.append(("grade", q.copy(), result[0]))
         return result
 
-    def recording_gradient(D, q, grading):
-        calls.append(("gradient", q.copy(), grading))
-        return gradient(D, q, grading)
+    def recording_costs(D, q, grading):
+        result = costs(D, q, grading)
+        calls.append(("costs", q.copy(), grading, result[1]))
+        return result
+
+    def recording_gradient(D, grading, values):
+        calls.append(("gradient", grading, values))
+        return gradient(D, grading, values)
 
     monkeypatch.setattr(metrics, "_grade", recording_grade)
+    monkeypatch.setattr(metrics, "_segment_costs", recording_costs)
     monkeypatch.setattr(metrics, "_node_gradient", recording_gradient)
     _, history, _ = metrics._relax(D, p, SolverConfig())
     gradients = [i for i, call in enumerate(calls) if call[0] == "gradient"]
     # the start path and each path that lowered the functional
     accepted = 1 + sum(a > b for a, b in zip(history, history[1:]))
     assert len(gradients) == accepted > 2
-    assert np.array_equal(calls[gradients[0]][1], p)
+    assert np.array_equal(calls[gradients[0] - 1][1], p)
+    # each path graded is costed at once, on its grading, and only then
+    kinds = [call[0] for call in calls]
+    assert kinds.count("grade") == kinds.count("costs")
+    for i, call in enumerate(calls):
+        if call[0] == "grade":
+            assert calls[i + 1][0] == "costs"
+            assert np.array_equal(calls[i + 1][1], call[1])
+            assert calls[i + 1][2] is call[2]
     for i in gradients:
-        # the path graded last is the accepted one, and its grading is used
-        _, path, grading = calls[i - 1]
-        assert calls[i - 1][0] == "grade"
-        assert np.array_equal(calls[i][1], path)
-        assert calls[i][2] is grading
-    paths = [calls[i][1].tobytes() for i in gradients]
+        # the path costed last is the accepted one; its grading and values
+        # are used
+        assert calls[i - 1][0] == "costs"
+        assert calls[i][1] is calls[i - 1][2]
+        assert calls[i][2] is calls[i - 1][3]
+    paths = [calls[i - 1][1].tobytes() for i in gradients]
     assert len(set(paths)) == len(paths)
+
+
+def test_relaxation_evaluates_delta_once_per_path(monkeypatch):
+    # on the slit-disk pair: delta's pieces run once on the rule nodes of
+    # each costed path, and the gradient evaluates none; delta_vec runs on
+    # the start's interior nodes for the first cap, on each trial's for its
+    # membership check, which is the next cap if it is accepted, and on the
+    # re-spaced path's if that goes on: never twice on one path
+    D, z1, z2 = _CASES[2]
+    p = _initial_path(D, z1, z2)
+    kind = domains.entry(D)
+    on_pieces, on_delta, costed, gradients, respaced = [], [], [], [], []
+    costs, gradient, delta, resample = (
+        metrics._segment_costs, metrics._node_gradient, domains.delta_vec,
+        metrics._resample)
+
+    def recording_pieces(z, *params):
+        on_pieces.append(z.copy())
+        return kind.pieces(z, *params)
+
+    def recording_costs(D, q, grading):
+        before = len(on_pieces)
+        result = costs(D, q, grading)
+        costed.append((q.copy(), on_pieces[before:], result[1][3]))
+        return result
+
+    def recording_gradient(D, grading, values):
+        before = len(on_pieces), len(on_delta)
+        result = gradient(D, grading, values)
+        gradients.append((len(on_pieces), len(on_delta)) == before)
+        return result
+
+    def recording_delta(D, z):
+        on_delta.append(z.tobytes())
+        return delta(D, z)
+
+    def recording_resample(q, m):
+        respaced.append(resample(q, m))
+        return respaced[-1]
+
+    monkeypatch.setitem(domains._KINDS, D.kind,
+                        dataclasses.replace(kind, pieces=recording_pieces))
+    monkeypatch.setattr(metrics, "_segment_costs", recording_costs)
+    monkeypatch.setattr(metrics, "_node_gradient", recording_gradient)
+    monkeypatch.setattr(domains, "delta_vec", recording_delta)
+    monkeypatch.setattr(metrics, "_resample", recording_resample)
+    metrics._relax(D, p, SolverConfig())
+    assert len(gradients) > 2 and all(gradients)
+    assert len(costed) > len(gradients)
+    for _, pieces_on, nodes in costed:
+        (z,) = pieces_on
+        assert z.tobytes() == nodes.tobytes()
+    assert on_delta[0] == p[1:-1].tobytes()
+    assert len(set(on_delta)) == len(on_delta)
+    for q, _, _ in costed:
+        measured = on_delta.count(q[1:-1].tobytes())
+        if respaced and np.array_equal(q, respaced[0]):
+            assert measured <= 1
+        else:
+            assert measured == 1
 
 
 def test_solve_grades_from_scratch_only_the_start_and_the_trials(
@@ -733,9 +829,9 @@ def test_solve_grades_from_scratch_only_the_start_and_the_trials(
         grades.append((q.copy(), c, pieces, result[2]))
         return result
 
-    def recording_costs(*args):
-        costed.append(True)
-        return costs(*args)
+    def recording_costs(D, q, grading):
+        costed.append(q.copy())
+        return costs(D, q, grading)
 
     def recording_resample(p, m):
         resampled.append((p.copy(), resample(p, m)))
@@ -755,8 +851,11 @@ def test_solve_grades_from_scratch_only_the_start_and_the_trials(
     scratch = [g for g in grades if g[2] is None]
     seeded = [g for g in grades if g[2] is not None]
     assert np.array_equal(grades[0][0], start) and grades[0][2] is None
-    # every costed path is a trial graded from scratch or the re-spaced one
-    assert len(scratch) == 1 + len(costed) - len(seeded)
+    # every path graded is costed: the start, a trial graded from scratch
+    # or the re-spaced one
+    assert [q.tobytes() for q, _, _, _ in grades] == [
+        q.tobytes() for q in costed]
+    assert len(scratch) == len(costed) - len(seeded)
     assert all(c == metrics._PIECE_C for _, c, _, _ in grades)
     # one quadrature, of the returned path on its last grading's pieces,
     # after every grading
@@ -819,9 +918,8 @@ def test_solver_k_is_the_quadrature_of_its_path(D, z1, z2):
                               rel=1e-13, abs=0)
     p = poly.as_array()
     grading, _, _ = metrics._grade(D, p, metrics._PIECE_C / 4)
-    assert k == pytest.approx(np.sum(metrics._segment_costs(
-        metrics._weight_fn("quasihyperbolic", D), p[:-1], p[1:], grading)),
-        rel=1e-13, abs=0)
+    k_fine = np.sum(metrics._segment_costs(D, p, grading)[0])
+    assert k == pytest.approx(k_fine, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("D, z1, z2", _CASES, ids=_IDS)
@@ -1231,8 +1329,7 @@ def test_solver_golden_values(name, D, z1, z2, k, iterations):
     # the returned path, quadratured on pieces half as long again
     p = geodesic.as_array()
     grading, _, _ = metrics._grade(D, p, metrics._PIECE_C / 8)
-    again = np.sum(metrics._segment_costs(
-        metrics._weight_fn("quasihyperbolic", D), p[:-1], p[1:], grading))
+    again = np.sum(metrics._segment_costs(D, p, grading)[0])
     assert value == pytest.approx(again, rel=1e-9, abs=0)
 
 
